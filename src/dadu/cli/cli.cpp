@@ -249,7 +249,7 @@ service::CircuitBreakerConfig parseBreakerOptions(
 
 /// Batch-coalescer flags shared by serve / serve-bench / stats.
 /// Batching is on by default (--max-batch 16, --batch-wait-us 100);
-/// `--max-batch 1` restores per-request dispatch.
+/// `--max-batch 1` dispatches bursts of one.
 void applyBatchOptions(service::ServiceConfig& config,
                        const std::map<std::string, std::string>& opts) {
   config.max_batch = static_cast<std::size_t>(

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "dadu/fault/fault.hpp"
-#include "dadu/registry/spec_router.hpp"
 
 namespace dadu::net {
 namespace {
@@ -45,16 +43,6 @@ void ignoreSigpipeOnce() {
   (void)done;
 }
 
-/// Frame payloads are bytes, not milliseconds: give their histogram a
-/// ladder that spans tiny control frames to the max frame cap.
-obs::LatencyHistogram::Config frameBytesLadder() {
-  obs::LatencyHistogram::Config config;
-  config.min_value = 16.0;
-  config.max_value = 1e8;
-  config.buckets_per_decade = 4;
-  return config;
-}
-
 }  // namespace
 
 void IkServer::CompletionSink::push(PendingCompletion item) {
@@ -72,24 +60,34 @@ void IkServer::CompletionSink::push(PendingCompletion item) {
   loop->wakeup();
 }
 
-IkServer::IkServer(service::IkService& service, ServerConfig config)
-    : service_(&service),
-      config_(std::move(config)),
-      loop_(config_.clock),
-      sink_(std::make_shared<CompletionSink>()),
-      counters_(kCounterCount, config_.stat_shards),
-      frame_hist_(frameBytesLadder()),
-      e2e_hist_(config_.latency) {
-  sink_->loop = &loop_;
+bool IkServer::Connection::write(const std::uint8_t* data, std::size_t len) {
+  out.append(data, len);
+  server->afterEnqueue(*this);
+  return true;
+}
+
+service::IkService::Completion IkServer::Connection::completion(
+    std::uint64_t request_id) {
+  in_flight++;
+  PendingCompletion pending;
+  pending.conn_id = id;
+  pending.request_id = request_id;
+  pending.dispatched = platform::clockNow(server->config_.clock);
+  // The callback runs on a service worker (or inline on admission
+  // reject); it only touches the shared sink, never loop state.
+  return [sink = server->sink_, pending = std::move(pending)](
+             service::Response response) mutable {
+    pending.response = std::move(response);
+    sink->push(std::move(pending));
+  };
 }
 
 IkServer::IkServer(registry::SpecRouter& router, ServerConfig config)
-    : router_(&router),
-      config_(std::move(config)),
+    : config_(std::move(config)),
+      dispatcher_(router, config_.max_frame_bytes),
       loop_(config_.clock),
       sink_(std::make_shared<CompletionSink>()),
       counters_(kCounterCount, config_.stat_shards),
-      frame_hist_(frameBytesLadder()),
       e2e_hist_(config_.latency) {
   sink_->loop = &loop_;
 }
@@ -190,6 +188,7 @@ void IkServer::onAcceptable() {
 
     const std::uint64_t conn_id = next_conn_id_++;
     Connection conn;
+    conn.server = this;
     conn.id = conn_id;
     conn.fd = fd;
     conn.last_activity = platform::clockNow(config_.clock);
@@ -281,10 +280,10 @@ void IkServer::onReadable(Connection& conn) {
   }
 done_reading:
 
-  // parseFrames may close (and erase) `conn`, so the id must be read
+  // dispatchFrames may close (and erase) `conn`, so the id must be read
   // out *before* the call — conn.id afterwards would be use-after-free.
   const std::uint64_t conn_id = conn.id;
-  parseFrames(conn);
+  dispatchFrames(conn);
   const auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Connection& live = it->second;
@@ -302,99 +301,18 @@ done_reading:
   updateReadInterest(live);
 }
 
-void IkServer::parseFrames(Connection& conn) {
-  while (!conn.in.empty()) {
-    DecodedFrame frame;
-    const DecodeStatus status = decodeFrame(conn.in.data(), conn.in.size(),
-                                            config_.max_frame_bytes, frame);
-    switch (status) {
-      case DecodeStatus::kNeedMore:
-        return;
-      case DecodeStatus::kMalformed:
-        counters_.add(kMalformedFrames);
-        closeConnection(conn.id, CloseReason::kProtocol);
-        return;
-      case DecodeStatus::kUnsupportedVersion:
-        counters_.add(kMalformedFrames);
-        queueError(conn, frame.request_id, WireErrorCode::kUnsupportedVersion,
-                   "server speaks wire version " +
-                       std::to_string(int{kWireVersion}));
-        conn.in.clear();  // nothing further is trustworthy
-        conn.close_after_flush = true;
-        return;
-      case DecodeStatus::kOk:
-        break;
-    }
-    conn.in.consume(frame.consumed);
-    counters_.add(kFramesReceived);
-    frame_hist_.record(
-        static_cast<double>(frame.consumed - kLengthBytes));
-    if (frame.type != MsgType::kRequest) {
-      // Clients must not send responses/errors at a server.
-      counters_.add(kMalformedFrames);
+void IkServer::dispatchFrames(Connection& conn) {
+  switch (dispatcher_.onFrames(conn.in, conn,
+                               draining_.load(std::memory_order_acquire))) {
+    case FrameDispatcher::Verdict::kKeepOpen:
+      return;
+    case FrameDispatcher::Verdict::kClose:
       closeConnection(conn.id, CloseReason::kProtocol);
       return;
-    }
-    handleRequest(conn, frame.request);
-  }
-}
-
-void IkServer::handleRequest(Connection& conn, const WireRequest& request) {
-  if (draining_.load(std::memory_order_acquire)) {
-    counters_.add(kShedDraining);
-    queueError(conn, request.id, WireErrorCode::kShuttingDown,
-               "server is draining");
-    return;
-  }
-  // Spec routing: pick the serving lane for this request's spec_id.
-  // Router mode consults the registry; single-spec mode accepts exactly
-  // the configured id.  Either way a mismatch is an error frame on this
-  // request only — the connection (and its other requests) live on.
-  service::IkService* target = service_;
-  if (router_) {
-    target = router_->serviceFor(request.spec_id);
-    if (!target) {
-      counters_.add(kSpecMismatch);
-      queueError(conn, request.id, WireErrorCode::kUnknownSpec,
-                 "no robot registered for spec " +
-                     std::to_string(request.spec_id));
+    case FrameDispatcher::Verdict::kCloseAfterFlush:
+      conn.close_after_flush = true;
       return;
-    }
-  } else if (request.spec_id != config_.robot_spec_id) {
-    counters_.add(kSpecMismatch);
-    queueError(conn, request.id, WireErrorCode::kUnknownSpec,
-               "server serves spec " + std::to_string(config_.robot_spec_id) +
-                   ", not " + std::to_string(request.spec_id));
-    return;
   }
-  // Content validation before burning a dispatch: a non-finite target
-  // or negative deadline would only make the solver throw later — the
-  // terminal kBadRequest verdict is cheaper for everyone up front.
-  if (!std::isfinite(request.target[0]) || !std::isfinite(request.target[1]) ||
-      !std::isfinite(request.target[2]) ||
-      !std::isfinite(request.deadline_ms) || request.deadline_ms < 0.0) {
-    queueError(conn, request.id, WireErrorCode::kBadRequest,
-               "non-finite target or bad deadline");
-    return;
-  }
-
-  conn.in_flight++;
-  dispatched_pending_++;
-  counters_.add(kRequestsDispatched);
-
-  PendingCompletion pending;
-  pending.conn_id = conn.id;
-  pending.request_id = request.id;
-  pending.dispatched = platform::clockNow(config_.clock);
-  target->submit(
-      toServiceRequest(request),
-      // The callback runs on a service worker (or inline on admission
-      // reject); it only touches the shared sink, never loop state.
-      [sink = sink_, pending = std::move(pending)](
-          service::Response response) mutable {
-        pending.response = std::move(response);
-        sink->push(std::move(pending));
-      });
 }
 
 void IkServer::drainCompletions() {
@@ -405,40 +323,14 @@ void IkServer::drainCompletions() {
   }
   const auto now = platform::clockNow(config_.clock);
   for (PendingCompletion& item : done) {
-    dispatched_pending_--;
-    counters_.add(kRequestsCompleted);
     e2e_hist_.record(msBetween(item.dispatched, now));
 
+    // A connection that died mid-solve is gone from the map: null.
     const auto it = conns_.find(item.conn_id);
-    if (it == conns_.end()) continue;  // connection died mid-solve
-    Connection& conn = it->second;
-    conn.in_flight--;
-
-    const service::Response& r = item.response;
-    if (r.status == service::ResponseStatus::kRejected &&
-        r.reject_reason == service::RejectReason::kInternalError) {
-      queueError(conn, item.request_id, WireErrorCode::kInternal, r.message);
-    } else {
-      std::vector<std::uint8_t> encoded;
-      encodeResponse(toWireResponse(item.request_id, r), encoded);
-      conn.out.append(encoded.data(), encoded.size());
-      counters_.add(kResponsesSent);
-      afterEnqueue(conn);
-    }
+    Connection* conn = it == conns_.end() ? nullptr : &it->second;
+    if (conn) conn->in_flight--;
+    dispatcher_.deliver(conn, item.request_id, item.response);
   }
-}
-
-void IkServer::queueError(Connection& conn, std::uint64_t request_id,
-                          WireErrorCode code, const std::string& message) {
-  WireError error;
-  error.id = request_id;
-  error.code = code;
-  error.message = message;
-  std::vector<std::uint8_t> encoded;
-  encodeError(error, encoded);
-  conn.out.append(encoded.data(), encoded.size());
-  counters_.add(kErrorsSent);
-  afterEnqueue(conn);
 }
 
 void IkServer::afterEnqueue(Connection& conn) {
@@ -481,9 +373,11 @@ void IkServer::onWritable(Connection& conn) {
 
   if (conn.reads_paused && conn.out.size() < config_.write_buffer_limit / 2) {
     conn.reads_paused = false;
-    parseFrames(conn);  // frames may have been buffered while paused
-    const auto it = conns_.find(conn.id);
-    if (it == conns_.end()) return;
+    // Frames may have been buffered while paused.  dispatchFrames may
+    // close (and erase) `conn`: read the id out first.
+    const std::uint64_t conn_id = conn.id;
+    dispatchFrames(conn);
+    if (conns_.find(conn_id) == conns_.end()) return;
   }
   if (conn.out.empty() && conn.close_after_flush && conn.in_flight == 0) {
     closeConnection(conn.id, conn.peer_eof ? CloseReason::kPeer
@@ -517,8 +411,8 @@ void IkServer::closeConnection(std::uint64_t conn_id, CloseReason reason) {
       break;
   }
   // In-flight completions for this connection still arrive; the sink
-  // drain drops them by failed lookup and keeps dispatched_pending_
-  // (the global drain condition) exact.
+  // drain hands them to the dispatcher as undeliverable, which keeps
+  // its dispatched/completed counts (the global drain condition) exact.
   conns_.erase(it);
   active_conns_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -555,7 +449,9 @@ void IkServer::beginDrain() {
 }
 
 bool IkServer::drainComplete() const {
-  if (dispatched_pending_ != 0) return false;
+  const DispatchStats dispatch = dispatcher_.stats();
+  if (dispatch.requests_dispatched != dispatch.requests_completed)
+    return false;
   for (const auto& [id, conn] : conns_)
     if (!conn.out.empty()) return false;
   return true;
@@ -589,22 +485,14 @@ NetStats IkServer::stats() const {
   snapshot.closed_idle = totals[kClosedIdle];
   snapshot.closed_shutdown = totals[kClosedShutdown];
   snapshot.closed_error = totals[kClosedError];
-  snapshot.frames_received = totals[kFramesReceived];
-  snapshot.malformed_frames = totals[kMalformedFrames];
-  snapshot.responses_sent = totals[kResponsesSent];
-  snapshot.errors_sent = totals[kErrorsSent];
   snapshot.bytes_read = totals[kBytesRead];
   snapshot.bytes_written = totals[kBytesWritten];
-  snapshot.requests_dispatched = totals[kRequestsDispatched];
-  snapshot.requests_completed = totals[kRequestsCompleted];
-  snapshot.shed_draining = totals[kShedDraining];
   snapshot.read_pauses = totals[kReadPauses];
-  snapshot.spec_mismatch = totals[kSpecMismatch];
+  static_cast<DispatchStats&>(snapshot) = dispatcher_.stats();
   {
     std::lock_guard<std::mutex> lock(sink_->mutex);
     snapshot.orphaned_completions = sink_->orphaned;
   }
-  snapshot.frame_bytes_hist = frame_hist_.snapshot();
   snapshot.wire_e2e_hist = e2e_hist_.snapshot();
   return snapshot;
 }

@@ -1,19 +1,23 @@
-// Non-blocking TCP front-end for IkService: the ingress path.
+// Non-blocking TCP front-end for a SpecRouter: the ingress path.
 //
 // One epoll EventLoop on one thread owns every socket.  The request
 // path never blocks that thread:
 //
-//   readable -> parse frames off the connection's in-buffer
-//            -> IkService::submit(request, completion)   [callback API]
+//   readable -> the FrameDispatcher decodes frames off the connection's
+//               in-buffer, routes each request by spec id and submits
+//               it to that spec's IkService lane     [callback API]
 //   worker   -> completion pushes {conn, response} onto the
 //               CompletionSink and pokes the loop's eventfd
-//   loop     -> drains the sink, serializes responses into the
-//               connection's out-buffer, lets EPOLLOUT flush them.
+//   loop     -> drains the sink, hands each response to the dispatcher
+//               to encode into the connection's out-buffer, lets
+//               EPOLLOUT flush them.
 //
-// Robustness decisions, each load-bearing:
-//   - malformed frame  => close that connection only, count it;
-//   - oversized length => malformed immediately (never buffered);
-//   - wrong version    => kUnsupportedVersion error frame, then close;
+// The frame verdicts (malformed or oversized frame => close that
+// connection only, never buffering an oversized one; wrong version =>
+// error frame, then close; unknown spec, bad content or draining =>
+// error frame for that request only) live in the dispatcher
+// (frame_dispatcher.hpp), shared with the simulator.  The server keeps
+// the socket-level decisions, each load-bearing:
 //   - slow reader      => when a connection's out-buffer passes
 //     write_buffer_limit, stop reading its requests (clear EPOLLIN)
 //     until the buffer drains below half — responses only come from
@@ -41,6 +45,7 @@
 
 #include "dadu/net/buffer.hpp"
 #include "dadu/net/event_loop.hpp"
+#include "dadu/net/frame_dispatcher.hpp"
 #include "dadu/net/net_stats.hpp"
 #include "dadu/net/wire.hpp"
 #include "dadu/obs/histogram.hpp"
@@ -68,12 +73,7 @@ struct ServerConfig {
   /// stop() waits this long for in-flight solves to complete and
   /// responses to flush before closing connections anyway.
   double drain_timeout_ms = 5000.0;
-  /// Single-spec mode (the IkService constructor): the one robot spec
-  /// this server fronts; requests carrying any other id get a
-  /// kUnknownSpec error.  Ignored in router mode, where the SpecRouter's
-  /// registry decides which spec ids exist.
-  std::uint32_t robot_spec_id = 0;
-  /// Bucket ladder for the frame-size / wire-latency histograms.
+  /// Bucket ladder for the wire-latency histogram.
   obs::LatencyHistogram::Config latency;
   std::size_t stat_shards = 0;  ///< 0 = hardware concurrency
   /// Time source for idle sweeps, drain deadlines and wire-latency
@@ -85,13 +85,10 @@ struct ServerConfig {
 
 class IkServer {
  public:
-  /// Single-spec mode: every request must carry config.robot_spec_id.
-  /// Does not start anything; `service` must outlive the server.
-  IkServer(service::IkService& service, ServerConfig config = {});
-
-  /// Multi-spec mode: requests route by wire spec_id through `router`
-  /// (one serving lane per registered robot); ids the router does not
-  /// know get a kUnknownSpec error.  `router` must outlive the server.
+  /// Requests route by wire spec_id through `router` (one serving lane
+  /// per registered robot; a one-spec router is a single-robot server);
+  /// ids the router does not know get a kUnknownSpec error.  Does not
+  /// start anything; `router` must outlive the server.
   IkServer(registry::SpecRouter& router, ServerConfig config = {});
   ~IkServer();  ///< stop()
 
@@ -127,17 +124,9 @@ class IkServer {
     kClosedIdle,
     kClosedShutdown,
     kClosedError,
-    kFramesReceived,
-    kMalformedFrames,
-    kResponsesSent,
-    kErrorsSent,
     kBytesRead,
     kBytesWritten,
-    kRequestsDispatched,
-    kRequestsCompleted,
-    kShedDraining,
     kReadPauses,
-    kSpecMismatch,
     kCounterCount,
   };
 
@@ -150,7 +139,10 @@ class IkServer {
     kError,
   };
 
-  struct Connection {
+  /// One client connection, and its face toward the dispatcher (loop
+  /// thread only).
+  struct Connection final : FrameConnection {
+    IkServer* server = nullptr;
     std::uint64_t id = 0;
     int fd = -1;
     ByteBuffer in;
@@ -160,10 +152,13 @@ class IkServer {
     bool peer_eof = false;       ///< remote shut down its write side
     bool close_after_flush = false;
     std::chrono::steady_clock::time_point last_activity{};
+
+    bool write(const std::uint8_t* data, std::size_t len) override;
+    service::IkService::Completion completion(
+        std::uint64_t request_id) override;
   };
 
-  /// One finished request travelling worker -> loop.  `failed` carries
-  /// solver-exception completions that must become kError frames.
+  /// One finished request travelling worker -> loop.
   struct PendingCompletion {
     std::uint64_t conn_id = 0;
     std::uint64_t request_id = 0;
@@ -191,11 +186,10 @@ class IkServer {
   void onConnectionEvent(std::uint64_t conn_id, std::uint32_t events);
   void onReadable(Connection& conn);
   void onWritable(Connection& conn);
-  void parseFrames(Connection& conn);
-  void handleRequest(Connection& conn, const WireRequest& request);
+  /// Run the dispatcher over the buffered bytes and act on its verdict
+  /// (may close and erase `conn`).
+  void dispatchFrames(Connection& conn);
   void drainCompletions();
-  void queueError(Connection& conn, std::uint64_t request_id,
-                  WireErrorCode code, const std::string& message);
   void afterEnqueue(Connection& conn);
   void updateReadInterest(Connection& conn);
   void closeConnection(std::uint64_t conn_id, CloseReason reason);
@@ -204,10 +198,8 @@ class IkServer {
   bool drainComplete() const;
   std::uint32_t interestOf(const Connection& conn) const;
 
-  /// Exactly one of these is set (single-spec vs router mode).
-  service::IkService* service_ = nullptr;
-  registry::SpecRouter* router_ = nullptr;
   ServerConfig config_;
+  FrameDispatcher dispatcher_;
   EventLoop loop_;
   std::thread thread_;
   int listen_fd_ = -1;
@@ -216,7 +208,6 @@ class IkServer {
   std::uint64_t next_conn_id_ = 1;
   std::unordered_map<std::uint64_t, Connection> conns_;
   std::vector<std::uint8_t> read_chunk_;  ///< loop-thread scratch
-  std::size_t dispatched_pending_ = 0;  ///< sum of conn.in_flight
   std::shared_ptr<CompletionSink> sink_;
 
   std::atomic<bool> started_{false};
@@ -228,7 +219,6 @@ class IkServer {
   std::mutex stop_mutex_;
 
   obs::ShardedCounters counters_;
-  obs::LatencyHistogram frame_hist_;
   obs::LatencyHistogram e2e_hist_;
 };
 

@@ -27,6 +27,9 @@ obs::MetricsSnapshot toMetricsSnapshot(const NetStats& stats) {
   counter("shed_draining", stats.shed_draining);
   counter("read_pauses", stats.read_pauses);
   counter("spec_mismatch", stats.spec_mismatch);
+  counter("bad_requests", stats.bad_requests);
+  counter("internal_errors", stats.internal_errors);
+  counter("undeliverable_completions", stats.undeliverable);
   counter("orphaned_completions", stats.orphaned_completions);
 
   snap.gauges.push_back(

@@ -13,7 +13,6 @@
 // hand off quickly; a slow sink slows solves.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -72,30 +71,6 @@ class RecordingSink final : public ObsSink {
   mutable std::mutex mutex_;
   std::vector<SpanRecord> spans_;
   std::vector<CountRecord> counts_;
-};
-
-/// RAII trace span: measures construction-to-destruction wall time and
-/// emits it to the sink.  A null sink skips the clock reads entirely —
-/// the scope costs one branch.
-class ScopedSpan {
- public:
-  ScopedSpan(ObsSink* sink, std::string_view name) : sink_(sink), name_(name) {
-    if (sink_) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedSpan() {
-    if (sink_)
-      sink_->onSpan(name_, std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count());
-  }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  ObsSink* sink_;
-  std::string_view name_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace dadu::obs

@@ -1,9 +1,7 @@
 // dadu_registry: the multi-robot spec registry.
 //
-// The wire protocol has stamped a `spec_id` on every request since v1,
-// but the serving stack could only reject ids other than the single
-// chain it was built around (ServerConfig::robot_spec_id).  The
-// registry is the missing table: spec_id -> {kinematic chain, joint
+// The wire protocol stamps a `spec_id` on every request.  The registry
+// is the table behind it: spec_id -> {kinematic chain, joint
 // limits (carried by the chain), solver factory, solver options,
 // worker-pool sizing} — everything a front-end needs to route a
 // request to the right per-spec serving lane.

@@ -64,14 +64,6 @@ const RobotSpec* SpecRouter::specFor(std::uint32_t spec_id) const {
   return it == lane_by_id_.end() ? nullptr : lanes_[it->second].spec;
 }
 
-bool SpecRouter::submit(std::uint32_t spec_id, service::Request request,
-                        service::IkService::Completion done) {
-  service::IkService* lane = serviceFor(spec_id);
-  if (!lane) return false;
-  lane->submit(std::move(request), std::move(done));
-  return true;
-}
-
 void SpecRouter::stop(service::IkService::Drain mode) {
   for (Lane& lane : lanes_) lane.service->stop(mode);
 }

@@ -1,4 +1,4 @@
-// SpecRouter: per-spec serving lanes behind one submit() seam.
+// SpecRouter: per-spec serving lanes behind one serviceFor() seam.
 //
 // One router owns one IkService per registered robot spec.  That
 // single structural decision buys every multi-robot invariant at once:
@@ -14,13 +14,12 @@
 //                          caches are physically separate;
 //   spec-pure batches      a worker's popMany burst drains one lane's
 //                          queue, so a fused solveMany always shares
-//                          one chain (the PR 6 invariant), and routing
-//                          is bit-identical to running each spec in its
-//                          own single-spec server: same queue, same
+//                          one chain, and a lane behaves exactly like
+//                          a single-robot deployment: same queue, same
 //                          cache, same batch coalescing, same solver.
 //
-// The front-ends (IkServer, SimServer) route a wire request by its
-// spec_id through submit(); an unknown id returns false and the caller
+// The front ends' FrameDispatcher routes a wire request by its spec_id
+// through serviceFor(); an unknown id yields null and the dispatcher
 // answers kUnknownSpec.  Lanes run under whatever clock/executor seam
 // RouterConfig::base carries, so the whole router works inside the
 // deterministic simulation unchanged.
@@ -73,13 +72,6 @@ class SpecRouter {
   /// The lane serving `spec_id` (nullptr = unknown spec).
   service::IkService* serviceFor(std::uint32_t spec_id);
   const RobotSpec* specFor(std::uint32_t spec_id) const;
-
-  /// Route one request to its spec's lane.  Returns false (without
-  /// invoking `done`) when the spec is unknown — the caller owns the
-  /// error answer.  Admission, deadlines and batching are the lane
-  /// service's, identical to a single-spec deployment.
-  bool submit(std::uint32_t spec_id, service::Request request,
-              service::IkService::Completion done);
 
   /// Stop every lane (same Drain semantics as IkService::stop).
   /// Idempotent.

@@ -34,6 +34,7 @@ IkService::IkService(SolverFactory factory, ServiceConfig config)
       // ladder at 24 buckets/decade resolves individual small sizes.
       batch_hist_(obs::LatencyHistogram::Config{1.0, 4096.0, 24}) {
   if (!factory_) throw std::invalid_argument("IkService: null factory");
+  config_.max_batch = std::max<std::size_t>(config_.max_batch, 1);
   std::size_t workers = config_.workers;
   if (workers == 0)
     workers = std::max(1u, std::thread::hardware_concurrency());
@@ -41,7 +42,7 @@ IkService::IkService(SolverFactory factory, ServiceConfig config)
     // Cooperative mode: no threads.  Workers are dispatch-step state
     // machines driven by the executor; the vector never reallocates
     // (steps capture indices, not iterators).
-    coop_workers_ = std::vector<CoopWorker>(workers);
+    coop_workers_ = std::vector<Worker>(workers);
     return;
   }
   workers_.reserve(workers);
@@ -169,44 +170,30 @@ void IkService::rejectJob(Job& job, RejectReason reason) {
 }
 
 void IkService::workerLoop() {
-  const std::unique_ptr<ik::IkSolver> solver = factory_();
-  solver->setClock(config_.clock);
-  if (config_.max_batch <= 1) {
-    Job job;
-    while (queue_.pop(job)) {
-      // Discard-mode shutdown: anything dequeued after the discard flag
-      // is up gets rejected, never solved.  Without this check a worker
-      // racing stop()'s close()->drain() window could still execute
-      // pending work the caller asked to be dropped.
-      if (discard_.load(std::memory_order_acquire)) {
-        rejectJob(job, RejectReason::kShutdown);
-        continue;
-      }
-      process(*solver, std::move(job));
-    }
-    return;
-  }
-
-  // Batched dispatch: drain a burst per wakeup.  Every burst goes
-  // through processBatch — including singletons, so occupancy stats
-  // describe all dispatched work, not just the lucky coalesced bursts.
-  BatchScratch scratch;
+  Worker w;
+  w.solver = factory_();
+  w.solver->setClock(config_.clock);
   const auto wait = std::chrono::microseconds(config_.batch_wait_us);
-  while (queue_.popMany(scratch.burst, config_.max_batch, wait) > 0) {
-    if (discard_.load(std::memory_order_acquire)) {
-      for (Job& job : scratch.burst) rejectJob(job, RejectReason::kShutdown);
-      continue;
-    }
-    processBatch(*solver, scratch);
-  }
+  while (queue_.popMany(w.scratch.burst, config_.max_batch, wait) > 0)
+    runBurst(w);
 }
 
-ik::IkSolver& IkService::coopSolver(CoopWorker& w) {
+void IkService::runBurst(Worker& w) {
+  // Discard-mode shutdown: anything dequeued after the discard flag is
+  // up gets rejected, never solved.  Without this check a worker racing
+  // stop()'s close()->drain() window could still execute pending work
+  // the caller asked to be dropped.
+  if (discard_.load(std::memory_order_acquire)) {
+    for (Job& job : w.scratch.burst) rejectJob(job, RejectReason::kShutdown);
+    return;
+  }
   if (!w.solver) {
     w.solver = factory_();
     w.solver->setClock(config_.clock);
   }
-  return *w.solver;
+  // Every burst goes through processBatch — including singletons, so
+  // occupancy stats describe all dispatched work.
+  processBatch(*w.solver, w.scratch);
 }
 
 void IkService::scheduleCoopWorkers() {
@@ -214,7 +201,7 @@ void IkService::scheduleCoopWorkers() {
   // around the worker state machines.
   for (std::size_t i = 0; i < coop_workers_.size(); ++i) {
     if (queue_.size() == 0) return;
-    CoopWorker& w = coop_workers_[i];
+    Worker& w = coop_workers_[i];
     if (w.busy) {
       // A lingering worker parked on its coalescing timer is woken
       // early the moment a full burst is ready — the discrete-event
@@ -234,54 +221,36 @@ void IkService::scheduleCoopWorkers() {
 }
 
 void IkService::coopStep(std::size_t worker, std::uint64_t generation) {
-  CoopWorker& w = coop_workers_[worker];
+  Worker& w = coop_workers_[worker];
   if (generation != w.generation) return;  // superseded or stopped
-  const bool discarding = discard_.load(std::memory_order_acquire);
 
-  if (config_.max_batch <= 1) {
-    Job job;
-    if (!queue_.tryPop(job)) {
-      w.busy = false;
-      return;
-    }
-    if (discarding)
-      rejectJob(job, RejectReason::kShutdown);
-    else
-      process(coopSolver(w), std::move(job));
-  } else {
-    const std::size_t depth = queue_.size();
-    if (depth == 0) {
-      w.busy = false;
-      w.lingering = false;
-      return;
-    }
-    // The Nagle-style coalescing window, modeled as a timer: an
-    // under-filled burst parks for batch_wait_us (or until
-    // scheduleCoopWorkers wakes it early with a full queue) before
-    // taking whatever is on hand.  Same observable semantics as
-    // popMany's condition-variable linger — the burst dispatches at
-    // linger end, and every lane's queue_ms includes the wait.
-    if (!w.lingering && depth < config_.max_batch &&
-        config_.batch_wait_us > 0 && !discarding && !queue_.closed()) {
-      w.lingering = true;
-      const std::uint64_t gen = ++w.generation;
-      config_.executor->postAt(
-          now() + std::chrono::microseconds(config_.batch_wait_us),
-          [this, worker, gen] { coopStep(worker, gen); });
-      return;
-    }
+  const std::size_t depth = queue_.size();
+  if (depth == 0) {
+    w.busy = false;
     w.lingering = false;
-    if (queue_.tryPopMany(w.scratch.burst, config_.max_batch) == 0) {
-      w.busy = false;
-      return;
-    }
-    if (discarding) {
-      for (Job& job : w.scratch.burst)
-        rejectJob(job, RejectReason::kShutdown);
-    } else {
-      processBatch(coopSolver(w), w.scratch);
-    }
+    return;
   }
+  // The Nagle-style coalescing window, modeled as a timer: an
+  // under-filled burst parks for batch_wait_us (or until
+  // scheduleCoopWorkers wakes it early with a full queue) before
+  // taking whatever is on hand.  Same observable semantics as
+  // popMany's condition-variable linger — the burst dispatches at
+  // linger end, and every lane's queue_ms includes the wait.
+  if (!w.lingering && depth < config_.max_batch && config_.batch_wait_us > 0 &&
+      !discard_.load(std::memory_order_acquire) && !queue_.closed()) {
+    w.lingering = true;
+    const std::uint64_t gen = ++w.generation;
+    config_.executor->postAt(
+        now() + std::chrono::microseconds(config_.batch_wait_us),
+        [this, worker, gen] { coopStep(worker, gen); });
+    return;
+  }
+  w.lingering = false;
+  if (queue_.tryPopMany(w.scratch.burst, config_.max_batch) == 0) {
+    w.busy = false;
+    return;
+  }
+  runBurst(w);
 
   if (queue_.size() > 0) {
     // Yield through the executor between bursts (rather than looping
@@ -308,8 +277,9 @@ void IkService::processBatch(ik::IkSolver& solver, BatchScratch& s) {
   if (s.seeds.size() < m) s.seeds.resize(m);
 
   // Pickup pass, FIFO order: per-lane stall fault, queue-wait stamp,
-  // and the queued-past-deadline drop — statement-for-statement the
-  // head of process(), just applied lane by lane before any solving.
+  // and the queued-past-deadline drop, applied lane by lane before any
+  // solving.  The stall fault is a worker pausing between dequeue and
+  // the deadline check — what turns a healthy queue wait into an expiry.
   for (std::size_t i = 0; i < m; ++i) {
     Job& job = s.burst[i];
     if (fault::FaultInjector::armed()) fault::inject("service.worker.stall", config_.clock);
@@ -328,10 +298,12 @@ void IkService::processBatch(ik::IkSolver& solver, BatchScratch& s) {
     s.live[i] = 1;
   }
 
-  // Seed resolution.  Cache-eligible lanes go through one bulk
-  // lookupMany (single shard-lock sweep for the whole burst); the rest
-  // take their explicit seed or the zero configuration, as process()
-  // does.  The seed-corruption fault fires per hit lane.
+  // Seed resolution: a cache hit (preferred when allowed), else the
+  // explicit seed, else the chain's zero configuration.  Cache-eligible
+  // lanes go through one bulk lookupMany (single shard-lock sweep for
+  // the whole burst).  The seed-corruption fault fires per hit lane: a
+  // poisoned warm-start seed is finite garbage that must degrade to a
+  // slow solve, never a crash or a NaN result.
   s.cache_targets.clear();
   s.cache_slots.clear();
   for (std::size_t i = 0; i < m; ++i) {
@@ -395,7 +367,9 @@ void IkService::processBatch(ik::IkSolver& solver, BatchScratch& s) {
   }
 
   // Fused solve: every surviving lane goes through one solveMany call
-  // (one grouped speculation kernel inside), each with its own deadline.
+  // (one grouped speculation kernel inside), each with its own deadline
+  // arming the solver watchdog, so a runaway solve surfaces kTimedOut
+  // with its best-so-far iterate.  A burst of one falls back to solve().
   s.lanes.clear();
   s.lane_job.clear();
   for (std::size_t i = 0; i < m; ++i) {
@@ -409,9 +383,10 @@ void IkService::processBatch(ik::IkSolver& solver, BatchScratch& s) {
   if (s.outcomes.size() < s.lanes.size()) s.outcomes.resize(s.lanes.size());
   solver.solveMany(s.lanes.data(), s.outcomes.data(), s.lanes.size());
 
-  // Retirement pass: per-lane bookkeeping identical to the tail of
-  // process() — cache insert, breaker verdicts, counters, histograms,
-  // sink spans, and exactly one completion per lane.
+  // Retirement pass: per-lane bookkeeping — cache insert, breaker
+  // verdicts, counters, histograms, sink spans, and exactly one
+  // completion per lane.  Solver exceptions (seed-size mismatch,
+  // non-finite target) surface through the lane's completion.
   for (std::size_t lane = 0; lane < s.lane_job.size(); ++lane) {
     const std::size_t i = s.lane_job[lane];
     Job& job = s.burst[i];
@@ -433,6 +408,9 @@ void IkService::processBatch(ik::IkSolver& solver, BatchScratch& s) {
         job.request.use_seed_cache)
       cache_.insert(job.request.target, result.theta);
 
+    // A probe that ran to a verdict is a success unless the watchdog
+    // had to kill it — a timed-out probe means the service is still
+    // drowning.
     const bool timed_out = result.status == ik::Status::kTimedOut;
     if (breaker_.enabled()) {
       breaker_.recordSolve(solve_ms, now());
@@ -471,114 +449,6 @@ void IkService::processBatch(ik::IkSolver& solver, BatchScratch& s) {
   }
 }
 
-void IkService::process(ik::IkSolver& solver, Job job) {
-  // Fault point: a worker pausing between dequeue and the deadline
-  // check — the stall that turns a healthy queue wait into an expiry.
-  if (fault::FaultInjector::armed()) fault::inject("service.worker.stall", config_.clock);
-
-  const Clock::time_point picked_up = now();
-  const double queue_ms = msBetween(job.enqueued, picked_up);
-  obs::ObsSink* const sink = config_.sink.get();
-
-  if (job.has_deadline && picked_up > job.deadline) {
-    counters_.add(kDeadlineExpired);
-    if (sink) sink->onCount("deadline_expired", 1);
-    if (job.probe) breaker_.onProbeResult(false, picked_up);
-    Response response;
-    response.status = ResponseStatus::kDeadlineExceeded;
-    response.queue_ms = queue_ms;
-    job.finish(std::move(response), nullptr);
-    return;
-  }
-
-  // Seed selection: explicit seed, cache hit (preferred when allowed),
-  // or the chain's zero configuration as the empty-seed default.
-  const bool cache_allowed =
-      config_.enable_seed_cache && job.request.use_seed_cache;
-  linalg::VecX seed;
-  bool from_cache = false;
-  if (cache_allowed && cache_.lookup(job.request.target, seed)) {
-    from_cache = true;
-    // Fault point: a poisoned warm-start seed — finite garbage that
-    // must degrade to a slow solve, never a crash or NaN result.
-    if (fault::FaultInjector::armed()) {
-      const fault::Decision d = fault::decide("service.seed_cache.seed");
-      if (d.action == fault::Action::kCorrupt)
-        fault::corruptDoubles(seed.data(), seed.size(), d.corrupt_seed);
-    }
-  } else if (!job.request.seed.empty()) {
-    seed = std::move(job.request.seed);
-  } else {
-    seed = solver.chain().zeroConfiguration();
-  }
-
-  // Watchdog: arm (or clear) the solver's cooperative deadline so a
-  // runaway solve surfaces kTimedOut with its best-so-far iterate
-  // instead of outliving the request's deadline unbounded.
-  solver.setDeadline(job.has_deadline ? job.deadline
-                                      : Clock::time_point{});
-
-  try {
-    platform::WallTimer timer(config_.clock);
-    // Fault point: a slow solve (kDelay, charged to solve_ms) or a
-    // solver throw (kError) — inside the try so the error takes the
-    // exact path a real solver exception takes.
-    if (fault::FaultInjector::armed()) fault::inject("service.worker.solve", config_.clock);
-    ik::SolveResult result = solver.solve(job.request.target, seed);
-    const double solve_ms = timer.elapsedMs();
-
-    if (result.converged() && cache_allowed)
-      cache_.insert(job.request.target, result.theta);
-
-    const bool timed_out = result.status == ik::Status::kTimedOut;
-    if (breaker_.enabled()) {
-      breaker_.recordSolve(solve_ms, now());
-      // A probe that ran to a verdict is a success unless the watchdog
-      // had to kill it — a timed-out probe means the service is still
-      // drowning.
-      if (job.probe) breaker_.onProbeResult(!timed_out, now());
-    }
-
-    // Lock-free bookkeeping: relaxed sharded counters + histograms.
-    counters_.add(kSolved);
-    if (result.converged()) counters_.add(kConverged);
-    if (timed_out) counters_.add(kTimedOutSolves);
-    counters_.add(kIterations, static_cast<std::uint64_t>(result.iterations));
-    counters_.add(kFkEvaluations,
-                  static_cast<std::uint64_t>(result.fk_evaluations));
-    counters_.add(kSpeculationLoad,
-                  static_cast<std::uint64_t>(result.speculation_load));
-    queue_hist_.record(queue_ms);
-    solve_hist_.record(solve_ms);
-    e2e_hist_.record(queue_ms + solve_ms);
-
-    if (sink) {
-      sink->onSpan("queue", queue_ms);
-      sink->onSpan("solve", solve_ms);
-      sink->onCount("iterations", static_cast<std::uint64_t>(result.iterations));
-      sink->onCount("fk_evaluations",
-                    static_cast<std::uint64_t>(result.fk_evaluations));
-      sink->onCount("speculation_load",
-                    static_cast<std::uint64_t>(result.speculation_load));
-    }
-
-    Response response;
-    response.status = ResponseStatus::kSolved;
-    response.result = std::move(result);
-    response.queue_ms = queue_ms;
-    response.solve_ms = solve_ms;
-    response.seeded_from_cache = from_cache;
-    job.finish(std::move(response), nullptr);
-  } catch (...) {
-    // Solver precondition failures (seed-size mismatch, non-finite
-    // target) surface through the completion, not the worker thread.
-    if (job.probe) breaker_.onProbeResult(false, now());
-    counters_.add(kInternalErrors);
-    Response failed;
-    job.finish(std::move(failed), std::current_exception());
-  }
-}
-
 void IkService::stop(Drain mode) {
   std::lock_guard<std::mutex> lock(stop_mutex_);
   stopped_.store(true);
@@ -600,15 +470,15 @@ void IkService::stop(Drain mode) {
     // dispatch step (a stale step firing after stop must be a no-op),
     // then finish whatever is still queued inline — drain semantics
     // solve it, discard already rejected it above.
-    for (CoopWorker& w : coop_workers_) {
+    for (Worker& w : coop_workers_) {
       ++w.generation;
       w.busy = false;
       w.lingering = false;
     }
     if (mode == Drain::kDrainPending && !coop_workers_.empty()) {
-      Job job;
-      while (queue_.tryPop(job))
-        process(coopSolver(coop_workers_[0]), std::move(job));
+      Worker& w = coop_workers_[0];
+      while (queue_.tryPopMany(w.scratch.burst, config_.max_batch) > 0)
+        runBurst(w);
     }
     return;
   }

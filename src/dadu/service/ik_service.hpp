@@ -89,10 +89,11 @@ struct ServiceConfig {
   /// Batch coalescer: each worker drains up to `max_batch` queued
   /// requests in one BoundedQueue::popMany and runs them through the
   /// solver's fused solveMany path (one grouped SoA speculation sweep
-  /// for the whole burst).  1 = per-request dispatch (the legacy
-  /// one-pop-one-solve loop).  Per-request semantics are identical
+  /// for the whole burst).  1 = bursts of one (solveMany with n = 1
+  /// falls back to solve()).  Per-request semantics are identical
   /// either way — same Response statuses, per-lane deadlines and fault
-  /// points — batching only changes how work is amortized.
+  /// points — batching only changes how work is amortized.  0 is
+  /// treated as 1.
   std::size_t max_batch = 1;
   /// Nagle-style coalescing window in microseconds: an under-filled
   /// burst lingers up to this long for stragglers before solving.
@@ -194,13 +195,13 @@ class IkService {
     kIterations,
     kFkEvaluations,
     kSpeculationLoad,
-    kBatches,       ///< coalesced bursts dispatched (batched path only)
+    kBatches,       ///< bursts dispatched
     kBatchedLanes,  ///< requests carried by those bursts
     kCounterCount,
   };
 
-  /// Per-worker scratch for the batched dispatch path, reused across
-  /// bursts so a warm worker allocates nothing per burst.
+  /// Per-worker scratch for the dispatch path, reused across bursts
+  /// so a warm worker allocates nothing per burst.
   struct BatchScratch {
     std::vector<Job> burst;
     std::vector<unsigned char> live;  ///< still headed for the solver
@@ -217,12 +218,14 @@ class IkService {
     std::vector<std::size_t> lane_job;  ///< lane index -> burst index
   };
 
-  /// One cooperative logical worker (executor mode): the state a
-  /// workerLoop() thread keeps on its stack, parked in a struct
-  /// between posted dispatch steps.
-  struct CoopWorker {
-    std::unique_ptr<ik::IkSolver> solver;  ///< created on first step
+  /// One worker's state.  A thread worker keeps it on its stack and
+  /// builds its solver at startup; a cooperative worker (executor mode)
+  /// parks it in coop_workers_ between posted dispatch steps and builds
+  /// its solver on its first burst.
+  struct Worker {
+    std::unique_ptr<ik::IkSolver> solver;
     BatchScratch scratch;
+    // Executor mode only.
     bool busy = false;       ///< a step is posted or running
     bool lingering = false;  ///< parked on the batch_wait_us timer
     /// Invalidates stale posted steps (a lingering worker woken early
@@ -236,7 +239,10 @@ class IkService {
 
   void submitInternal(Request request, JobCompletion finish);
   void workerLoop();
-  void process(ik::IkSolver& solver, Job job);
+  /// The one dispatch step every worker runs on the burst it just took
+  /// off the queue (w.scratch.burst): reject it after a discard stop,
+  /// otherwise solve it through processBatch.
+  void runBurst(Worker& w);
   void processBatch(ik::IkSolver& solver, BatchScratch& scratch);
   void rejectNow(JobCompletion& finish, RejectReason reason);
   /// Reject a job that may be a half-open probe: the breaker hears a
@@ -248,7 +254,6 @@ class IkService {
   /// Executor mode: one worker dispatch step — the body of one
   /// workerLoop() wakeup, re-posting itself while work remains.
   void coopStep(std::size_t worker, std::uint64_t generation);
-  ik::IkSolver& coopSolver(CoopWorker& w);
 
   ServiceConfig config_;
   SolverFactory factory_;
@@ -256,7 +261,7 @@ class IkService {
   SeedCache cache_;
   CircuitBreaker breaker_;
   std::vector<std::thread> workers_;
-  std::vector<CoopWorker> coop_workers_;  ///< executor mode only
+  std::vector<Worker> coop_workers_;  ///< executor mode only
 
   std::atomic<bool> stopped_{false};
   /// Discard-mode shutdown: set (before the queue closes) to tell
@@ -269,15 +274,15 @@ class IkService {
 
   // Lock-free statistics: sharded counters + latency histograms, all
   // written with relaxed atomics on the hot path, aggregated in
-  // stats().  No mutex anywhere on submit/process.
+  // stats().  No mutex anywhere on submit/dispatch.
   obs::ShardedCounters counters_;
   obs::LatencyHistogram queue_hist_;
   obs::LatencyHistogram solve_hist_;
   obs::LatencyHistogram e2e_hist_;
-  /// Burst occupancy (requests per popMany, batched path only): the
-  /// one distribution that says whether coalescing is actually
-  /// happening — p50 stuck at 1 under load means the window is too
-  /// short or the queue never backs up.
+  /// Burst occupancy (requests per dispatched burst): the one
+  /// distribution that says whether coalescing is actually happening —
+  /// p50 stuck at 1 under load means the window is too short or the
+  /// queue never backs up.
   obs::LatencyHistogram batch_hist_;
 };
 

@@ -19,31 +19,15 @@ PushResult BoundedQueue::tryPush(Job&& job) {
   return PushResult::kAccepted;
 }
 
-bool BoundedQueue::pop(Job& out) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return closed_ || !jobs_.empty(); });
-  if (jobs_.empty()) return false;  // closed and drained
-  out = std::move(jobs_.front());
-  jobs_.pop_front();
-  return true;
-}
-
 std::size_t BoundedQueue::popMany(std::vector<Job>& out,
                                   std::size_t max_items,
                                   std::chrono::microseconds max_wait) {
   out.clear();
   if (max_items == 0) return 0;
-  const auto take = [&] {
-    while (!jobs_.empty() && out.size() < max_items) {
-      out.push_back(std::move(jobs_.front()));
-      jobs_.pop_front();
-    }
-  };
-
   std::unique_lock<std::mutex> lock(mutex_);
   cv_.wait(lock, [&] { return closed_ || !jobs_.empty(); });
   if (jobs_.empty()) return 0;  // closed and drained
-  take();
+  takeLocked(out, max_items);
 
   // Coalescing window: whatever was ready went first (no added latency
   // for a deep queue); only an under-filled burst waits for company.
@@ -55,30 +39,25 @@ std::size_t BoundedQueue::popMany(std::vector<Job>& out,
       if (!cv_.wait_until(lock, deadline,
                           [&] { return closed_ || !jobs_.empty(); }))
         break;  // window expired with nothing new
-      take();
+      takeLocked(out, max_items);
     }
   }
   return out.size();
 }
 
-bool BoundedQueue::tryPop(Job& out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (jobs_.empty()) return false;
-  out = std::move(jobs_.front());
-  jobs_.pop_front();
-  return true;
-}
-
 std::size_t BoundedQueue::tryPopMany(std::vector<Job>& out,
                                      std::size_t max_items) {
   out.clear();
-  if (max_items == 0) return 0;
   std::lock_guard<std::mutex> lock(mutex_);
+  takeLocked(out, max_items);
+  return out.size();
+}
+
+void BoundedQueue::takeLocked(std::vector<Job>& out, std::size_t max_items) {
   while (!jobs_.empty() && out.size() < max_items) {
     out.push_back(std::move(jobs_.front()));
     jobs_.pop_front();
   }
-  return out.size();
 }
 
 void BoundedQueue::close() {

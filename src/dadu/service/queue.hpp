@@ -3,8 +3,9 @@
 // The admission-control point of the serving layer: producers tryPush
 // and are *never* blocked — a full queue rejects immediately so the
 // caller can shed load (the alternative, blocking producers, turns an
-// overload into unbounded latency for everyone).  Consumers block in
-// pop() until work arrives or the queue is closed and drained.
+// overload into unbounded latency for everyone).  Consumers take bursts:
+// popMany() blocks until work arrives or the queue is closed and
+// drained; tryPopMany() never waits.
 //
 // Implementation is a mutex + condition variable around a deque: the
 // queue hand-off is microseconds against solves that are hundreds of
@@ -62,8 +63,8 @@ class BoundedQueue {
   /// `clock` parameterizes the popMany linger deadline (null = real
   /// steady clock).  The blocking waits are only ever exercised with a
   /// real clock: under the deterministic simulation harness consumers
-  /// use the non-blocking tryPop/tryPopMany and the linger is modeled
-  /// as an executor timer instead of a parked condition variable.
+  /// use the non-blocking tryPopMany and the linger is modeled as an
+  /// executor timer instead of a parked condition variable.
   explicit BoundedQueue(std::size_t capacity,
                         const platform::Clock* clock = nullptr);
 
@@ -73,14 +74,10 @@ class BoundedQueue {
   /// Non-blocking admission: moves from `job` only on kAccepted.
   PushResult tryPush(Job&& job);
 
-  /// Block until a job is available (true) or the queue is closed and
-  /// empty (false).  Closed-but-nonempty queues keep serving pops so a
-  /// shutdown can drain.
-  bool pop(Job& out);
-
-  /// Bulk pop: block exactly like pop() until at least one job is
-  /// available (or the queue is closed and drained — returns 0), then
-  /// move up to `max_items` jobs into `out` in FIFO order.  The whole
+  /// Bulk pop: block until at least one job is available (or the queue
+  /// is closed and drained — returns 0; closed-but-nonempty queues keep
+  /// serving pops so a shutdown can drain), then move up to
+  /// `max_items` jobs into `out` in FIFO order.  The whole
   /// burst happens under ONE lock acquisition instead of one per item.
   /// If fewer than `max_items` are on hand and `max_wait` is positive,
   /// lingers up to that long for stragglers (the Nagle-style
@@ -90,11 +87,6 @@ class BoundedQueue {
   /// `out` is cleared first; the return value is out.size().
   std::size_t popMany(std::vector<Job>& out, std::size_t max_items,
                       std::chrono::microseconds max_wait);
-
-  /// Non-blocking pop: false when the queue is momentarily empty (or
-  /// closed and drained) — never waits.  The cooperative-executor
-  /// consumers' spelling of pop().
-  bool tryPop(Job& out);
 
   /// Non-blocking bulk pop: move up to `max_items` immediately
   /// available jobs into `out` (cleared first), FIFO, one lock for the
@@ -116,6 +108,9 @@ class BoundedQueue {
   bool closed() const;
 
  private:
+  /// Move up to `max_items` queued jobs onto `out`, FIFO; mutex_ held.
+  void takeLocked(std::vector<Job>& out, std::size_t max_items);
+
   const std::size_t capacity_;
   const platform::Clock* clock_;
   mutable std::mutex mutex_;

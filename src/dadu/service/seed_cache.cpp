@@ -53,7 +53,14 @@ SeedCache::SeedCache(SeedCacheConfig config) : config_(config) {
 }
 
 std::int64_t SeedCache::quantize(double v) const {
-  return static_cast<std::int64_t>(std::floor(v / config_.cell_size));
+  // Clamp before the cast: a far-off, infinite or NaN coordinate (from
+  // hostile or corrupted input) must overflow neither the conversion
+  // nor the neighbour probes' +-1.  Such targets share an edge cell.
+  constexpr double kEdge = 4.0e18;  // below 2^62
+  const double cell = std::floor(v / config_.cell_size);
+  if (!(cell > -kEdge)) return static_cast<std::int64_t>(-kEdge);
+  if (!(cell < kEdge)) return static_cast<std::int64_t>(kEdge);
+  return static_cast<std::int64_t>(cell);
 }
 
 SeedCache::CellCoord SeedCache::cellOf(const linalg::Vec3& p) const {

@@ -45,16 +45,16 @@ struct ServiceStats {
   double total_queue_ms = 0.0;
   double total_solve_ms = 0.0;
 
-  // Batched dispatch (zero when the service runs per-request).
-  std::uint64_t batches = 0;        ///< coalesced bursts dispatched
+  // Burst dispatch (max_batch = 1 dispatches bursts of one).
+  std::uint64_t batches = 0;        ///< bursts dispatched
   std::uint64_t batched_lanes = 0;  ///< requests carried by those bursts
 
   // Latency distributions (solved requests; end-to-end = queue + solve).
   obs::HistogramSnapshot queue_hist;
   obs::HistogramSnapshot solve_hist;
   obs::HistogramSnapshot e2e_hist;
-  /// Requests per coalesced burst (batched dispatch only): occupancy
-  /// p50 pinned at 1 under load means coalescing is not engaging.
+  /// Requests per dispatched burst: occupancy p50 pinned at 1 under
+  /// load means coalescing is not engaging.
   obs::HistogramSnapshot batch_occupancy_hist;
 
   // Overload circuit breaker (mirrored from CircuitBreaker::snapshot()).

@@ -85,12 +85,7 @@ struct Run {
   std::vector<Outcome> outcomes;      ///< indexed by request id - 1
   std::vector<std::uint8_t> outcome_count;
 
-  std::uint64_t nowUs() const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            exec->simClock().elapsed())
-            .count());
-  }
+  std::uint64_t nowUs() const { return exec->simClock().elapsedUs(); }
 
   void settle(std::uint64_t request_id, Outcome outcome) {
     const std::size_t i = static_cast<std::size_t>(request_id - 1);
@@ -228,16 +223,21 @@ void clientParse(Run& run, const std::shared_ptr<Client>& c) {
   }
 }
 
-void attachClient(Run& run, const std::shared_ptr<Client>& c) {
+void attachClient(Run& run, const std::shared_ptr<Client>& client) {
   Run* r = &run;
-  c->conn->onReceive(Side::kClient,
-                     [r, c](const std::uint8_t* data, std::size_t len) {
-                       if (!c->open) return;
-                       c->in.append(data, len);
-                       clientParse(*r, c);
-                     });
-  c->conn->onClose(Side::kClient, [r, c] {
-    if (!c->open) return;
+  // Weak references: the pool owns the client, and a client holding its
+  // pipe must not be held by that pipe's handlers in return.
+  const std::weak_ptr<Client> weak = client;
+  client->conn->onReceive(
+      Side::kClient, [r, weak](const std::uint8_t* data, std::size_t len) {
+        const auto c = weak.lock();
+        if (!c || !c->open) return;
+        c->in.append(data, len);
+        clientParse(*r, c);
+      });
+  client->conn->onClose(Side::kClient, [r, weak] {
+    const auto c = weak.lock();
+    if (!c || !c->open) return;
     c->open = false;
     // Everything in flight died with the pipe — a terminal outcome the
     // invariants count.
@@ -392,54 +392,34 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   const std::size_t specs = std::max<std::size_t>(cfg.specs, 1);
 
   // Spec s solves a serpentine of dof + 2*s joints behind its own
-  // service lane.  Every lane's ModelSolvers derive their streams from
-  // (scenario seed, spec id, worker ordinal), so lanes are decorrelated
-  // but the whole run still replays from one number.  The s == 0
-  // mixing term is zero, which keeps single-spec runs byte-identical
-  // to the pre-registry stack.
-  const auto makeSpecFactory = [&](std::size_t s, const kin::Chain& chain) {
+  // service lane of the same registry + SpecRouter the production serve
+  // command uses (one spec = a single-robot server).  Every lane's
+  // ModelSolvers derive their streams from (scenario seed, spec id,
+  // worker ordinal), so lanes are decorrelated but the whole run still
+  // replays from one number.  The s == 0 mixing term is zero, so spec
+  // 0's solver streams depend on the seed and worker ordinal alone.
+  registry::RobotSpecRegistry reg;
+  for (std::size_t s = 0; s < specs; ++s) {
+    const std::size_t joints = std::max<std::size_t>(cfg.dof, 2) + 2 * s;
+    registry::RobotSpec spec;
+    spec.id = static_cast<std::uint32_t>(s);
+    spec.name = "serpentine_" + std::to_string(joints);
+    spec.chain_spec = "serpentine:" + std::to_string(joints);
+    spec.chain = kin::makeSerpentine(joints);
     auto counter = std::make_shared<std::uint64_t>(0);
-    return service::SolverFactory([chain, solver_cfg, counter, seed, s] {
+    spec.factory = [chain = spec.chain, solver_cfg, counter, seed, s] {
       ModelSolverConfig mc = solver_cfg;
       mc.seed = seed ^ (0x9e3779b97f4a7c15ull * ++*counter) ^
                 (0x94d049bb133111ebull * static_cast<std::uint64_t>(s));
       return std::make_unique<ModelSolver>(chain, mc);
-    });
-  };
-
-  // Single-spec runs keep the historical direct IkService path;
-  // multi-spec runs stand up the same registry + SpecRouter the
-  // production serve command uses.
-  std::optional<service::IkService> service;
-  std::optional<registry::RobotSpecRegistry> reg;
-  std::optional<registry::SpecRouter> router;
-  if (specs <= 1) {
-    const kin::Chain chain =
-        kin::makeSerpentine(std::max<std::size_t>(cfg.dof, 2));
-    service.emplace(makeSpecFactory(0, chain), scfg);
-  } else {
-    reg.emplace();
-    for (std::size_t s = 0; s < specs; ++s) {
-      const std::size_t joints = std::max<std::size_t>(cfg.dof, 2) + 2 * s;
-      registry::RobotSpec spec;
-      spec.id = static_cast<std::uint32_t>(s);
-      spec.name = "serpentine_" + std::to_string(joints);
-      spec.chain_spec = "serpentine:" + std::to_string(joints);
-      spec.chain = kin::makeSerpentine(joints);
-      spec.factory = makeSpecFactory(s, spec.chain);
-      reg->add(std::move(spec));
-    }
-    registry::RouterConfig rcfg;
-    rcfg.base = scfg;  // every lane = one single-spec server's shape
-    router.emplace(*reg, rcfg);
+    };
+    reg.add(std::move(spec));
   }
-
-  std::optional<SimServer> server;
-  if (router)
-    server.emplace(*router, exec, SimServerConfig{}, &result.trace);
-  else
-    server.emplace(*service, exec, SimServerConfig{}, &result.trace);
-  run.server = &*server;
+  registry::RouterConfig rcfg;
+  rcfg.base = scfg;  // every lane = one single-spec server's shape
+  registry::SpecRouter router(reg, rcfg);
+  SimServer server(router, exec, SimServerConfig{}, &result.trace);
+  run.server = &server;
 
   const std::size_t clients = std::max<std::size_t>(cfg.clients, 1);
   std::vector<std::shared_ptr<Client>> pool;
@@ -455,7 +435,7 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
     c->conn = std::make_shared<SimConnection>(exec, link,
                                               cfg.seed ^ (i * 2 + 1));
     attachClient(run, c);
-    server->accept(c->conn);
+    server.accept(c->conn);
     pool.push_back(std::move(c));
   }
   for (const auto& c : pool) {
@@ -475,10 +455,7 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
 
   // Drain-stop the service lanes (inline under the executor contract),
   // then let any completions posted by the drain deliver.
-  if (router)
-    router->stop(service::IkService::Drain::kDrainPending);
-  else
-    service->stop(service::IkService::Drain::kDrainPending);
+  router.stop(service::IkService::Drain::kDrainPending);
   exec.drain(cap);
 
   // Stall sweep: a corrupted length prefix can desync a stream into a
@@ -499,19 +476,15 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
   result.virtual_ms =
       std::chrono::duration<double, std::milli>(clock.elapsed()).count();
   result.tasks_executed = exec.executed();
-  if (router) {
-    result.service = router->aggregatedStats();
-    for (const registry::SpecLaneStats& lane : router->perSpecStats()) {
-      ScenarioSpecStats slice;
-      slice.spec_id = lane.spec->id;
-      slice.name = lane.spec->name;
-      slice.stats = lane.stats;
-      result.per_spec.push_back(std::move(slice));
-    }
-  } else {
-    result.service = service->stats();
+  result.service = router.aggregatedStats();
+  for (const registry::SpecLaneStats& lane : router.perSpecStats()) {
+    ScenarioSpecStats slice;
+    slice.spec_id = lane.spec->id;
+    slice.name = lane.spec->name;
+    slice.stats = lane.stats;
+    result.per_spec.push_back(std::move(slice));
   }
-  result.server = server->stats();
+  result.server = server.stats();
 
   // --- Invariants -----------------------------------------------------
   // Exactly one outcome per transmitted request.
@@ -539,19 +512,21 @@ ScenarioResult runScenario(const ScenarioConfig& cfg) {
         " accounted=" + std::to_string(result.service.accounted()));
   // The server dispatched exactly what the service admitted, and every
   // dispatch completed exactly once.
-  if (result.service.submitted != result.server.dispatched)
+  const net::DispatchStats& srv = result.server;
+  if (result.service.submitted != srv.requests_dispatched)
     result.violations.push_back(
         "dispatch mismatch: service submitted=" +
         std::to_string(result.service.submitted) +
-        " server dispatched=" + std::to_string(result.server.dispatched));
-  if (result.server.dispatched != result.server.completed)
+        " server dispatched=" + std::to_string(srv.requests_dispatched));
+  if (srv.requests_dispatched != srv.requests_completed)
     result.violations.push_back(
         "completion leak: dispatched=" +
-        std::to_string(result.server.dispatched) +
-        " completed=" + std::to_string(result.server.completed));
-  if (result.server.completed !=
-      result.server.responses_sent + result.server.orphaned)
-    result.violations.push_back("completed != responses_sent + orphaned");
+        std::to_string(srv.requests_dispatched) +
+        " completed=" + std::to_string(srv.requests_completed));
+  if (srv.requests_completed !=
+      srv.responses_sent + srv.internal_errors + srv.undeliverable)
+    result.violations.push_back(
+        "completed != responses_sent + internal_errors + undeliverable");
 
   result.trace.record(
       static_cast<std::uint64_t>(result.virtual_ms * 1000.0),

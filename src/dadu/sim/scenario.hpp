@@ -1,9 +1,10 @@
 // Scenario: one whole-stack simulation run under one seed.
 //
 // A scenario stands up the full serving pipeline — N simulated clients
-// -> SimTransport byte pipes -> SimServer (real wire codec, real
-// validation) -> IkService in cooperative executor mode (real
-// admission control, deadlines, breaker, batching) -> ModelSolver —
+// -> SimTransport byte pipes -> SimServer (the production
+// FrameDispatcher: wire codec, validation, routing) -> SpecRouter ->
+// IkService lanes in cooperative executor mode (real admission
+// control, deadlines, breaker, batching) -> ModelSolver —
 // on a SimClock + SimExecutor, drives a workload through it, and
 // checks the conservation invariants the production stack promises:
 //
@@ -11,8 +12,9 @@
 //                         one of: response frame, error frame, or its
 //                         connection died with it outstanding;
 //   counter conservation  ServiceStats::accounted() == submitted, and
-//                         server dispatched == completed ==
-//                         responses_sent + orphaned.
+//                         server requests_dispatched ==
+//                         requests_completed == responses_sent +
+//                         internal_errors + undeliverable.
 //
 // Everything — arrival times, targets, solver outcomes, fault
 // decisions, transport jitter, task interleaving — derives from
@@ -45,8 +47,7 @@ struct ScenarioConfig {
   /// Robot specs hosted by the one simulated server.  Spec s gets a
   /// serpentine chain of dof + 2*s joints behind its own service lane
   /// (registry::SpecRouter), so fused batches stay spec-pure by
-  /// construction.  1 = the classic single-spec stack (no router in
-  /// the path, byte-identical to historical runs).
+  /// construction.  1 = a single-robot server (a one-spec router).
   std::size_t specs = 1;
   /// Fraction of requests stamped with an unregistered spec id.  The
   /// server answers each with kUnknownSpec, the connection survives,
@@ -93,7 +94,7 @@ struct ScenarioConfig {
 ScenarioConfig presetScenario(const std::string& name);
 std::vector<std::string> scenarioNames();
 
-/// Per-spec slice of a multi-spec run (empty in single-spec runs).
+/// Per-spec slice of a run.
 struct ScenarioSpecStats {
   std::uint32_t spec_id = 0;
   std::string name;
@@ -129,9 +130,9 @@ struct ScenarioResult {
   /// Aggregated across every spec lane in multi-spec runs; the
   /// conservation invariants hold over this aggregate.
   service::ServiceStats service;
-  /// One entry per registered spec when ScenarioConfig::specs > 1.
+  /// One entry per registered spec.
   std::vector<ScenarioSpecStats> per_spec;
-  SimServerStats server;
+  net::DispatchStats server;
 
   /// Invariant violations; empty means the run upheld every contract.
   std::vector<std::string> violations;

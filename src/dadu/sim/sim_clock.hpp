@@ -15,6 +15,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 #include "dadu/platform/clock.hpp"
 
@@ -46,6 +47,12 @@ class SimClock final : public platform::Clock {
 
   /// Virtual time elapsed since construction.
   duration elapsed() const { return now_ - (time_point{} + kStart); }
+  /// elapsed() in whole microseconds (trace timestamps).
+  std::uint64_t elapsedUs() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(elapsed())
+            .count());
+  }
 
  private:
   mutable time_point now_ = time_point{} + kStart;

@@ -41,8 +41,8 @@
 #include "dadu/net/ik_server.hpp"
 #include "dadu/net/wire.hpp"
 #include "dadu/service/ik_service.hpp"
-#include "dadu/solvers/factory.hpp"
 #include "dadu/workload/targets.hpp"
+#include "one_spec_router.hpp"
 
 namespace dadu::net {
 namespace {
@@ -67,20 +67,23 @@ std::uint64_t envU64(const char* name, std::uint64_t fallback) {
   return std::strtoull(value, nullptr, 0);
 }
 
+service::ServiceConfig withWorkers(service::ServiceConfig config) {
+  config.workers = config.workers ? config.workers : 3;
+  return config;
+}
+
 struct Harness {
   kin::Chain chain = kin::makeSerpentine(kDof);
-  std::unique_ptr<IkService> service;
+  test_support::OneSpecRouter stack;
   std::unique_ptr<IkServer> server;
 
   explicit Harness(service::ServiceConfig svc_config = {},
-                   ServerConfig srv_config = {}) {
-    svc_config.workers = svc_config.workers ? svc_config.workers : 3;
-    service = std::make_unique<IkService>(
-        [chain = chain] { return ik::makeSolver("quick-ik", chain, {}); },
-        svc_config);
-    server = std::make_unique<IkServer>(*service, srv_config);
+                   ServerConfig srv_config = {})
+      : stack(chain, withWorkers(svc_config)) {
+    server = std::make_unique<IkServer>(*stack.router, srv_config);
     server->start();
   }
+  IkService& service() { return stack.service(); }
   IkClient client(ClientConfig config = {}) {
     IkClient c;
     c.connect("127.0.0.1", server->port(), config);
@@ -127,8 +130,8 @@ fault::FaultPlan chaosPlan(std::uint64_t seed) {
   return plan;
 }
 
-// Body of the exactly-once soak, shared by the per-request and
-// batched-dispatch variants: the coalescer must preserve the
+// Body of the exactly-once soak, shared by the bursts-of-one and
+// coalescing variants: the coalescer must preserve the
 // exactly-one-outcome and conservation invariants under the same
 // randomized fault plan.
 void runExactlyOnceSoak(std::size_t max_batch, std::uint32_t batch_wait_us) {
@@ -212,17 +215,19 @@ void runExactlyOnceSoak(std::size_t max_batch, std::uint32_t batch_wait_us) {
   // request is still in flight (requests whose *client* gave up keep
   // running server-side until the drain finishes them): every submit
   // landed in exactly one terminal counter bucket.
-  h.service->stop();
-  const service::ServiceStats svc_stats = h.service->stats();
+  h.service().stop();
+  const service::ServiceStats svc_stats = h.service().stats();
   EXPECT_EQ(svc_stats.submitted, svc_stats.accounted());
 
-  if (max_batch > 1) {
-    // The coalescer actually ran, and every lane that entered a
-    // counted burst landed in exactly one of its terminal buckets.
-    EXPECT_GT(svc_stats.batches, 0u);
-    EXPECT_EQ(svc_stats.batched_lanes,
-              svc_stats.solved + svc_stats.deadline_expired +
-                  svc_stats.internal_errors);
+  // Every dispatch is a burst (of one when max_batch is 1), and every
+  // lane that entered a counted burst landed in exactly one of its
+  // terminal buckets.
+  EXPECT_GT(svc_stats.batches, 0u);
+  EXPECT_EQ(svc_stats.batched_lanes,
+            svc_stats.solved + svc_stats.deadline_expired +
+                svc_stats.internal_errors);
+  if (max_batch == 1) {
+    EXPECT_EQ(svc_stats.batches, svc_stats.batched_lanes);
   }
 }
 
@@ -301,7 +306,7 @@ TEST(ChaosSoak, LongSolveOutlivingDrainIsCountedOrphaned) {
   // slow dispatch can't race the stop.
   const auto pickup_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while ((h.service->stats().submitted == 0 || h.service->queueDepth() > 0) &&
+  while ((h.service().stats().submitted == 0 || h.service().queueDepth() > 0) &&
          std::chrono::steady_clock::now() < pickup_deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   h.server->stop();

@@ -44,6 +44,12 @@ struct JacobianCase {
   std::size_t dof;
 };
 
+// Without this gtest prints the case as raw bytes, the `family` pointer
+// among them, so the listed test names would change from run to run.
+void PrintTo(const JacobianCase& c, std::ostream* os) {
+  *os << c.family << '/' << c.dof;
+}
+
 class JacobianVsFiniteDifference
     : public ::testing::TestWithParam<JacobianCase> {
  protected:

@@ -12,17 +12,17 @@
 #include "dadu/net/ik_client.hpp"
 #include "dadu/net/ik_server.hpp"
 #include "dadu/service/ik_service.hpp"
-#include "dadu/solvers/factory.hpp"
+#include "one_spec_router.hpp"
 
 namespace dadu::net {
 namespace {
 
-std::unique_ptr<service::IkService> makeService(const kin::Chain& chain) {
+std::unique_ptr<test_support::OneSpecRouter> makeStack(
+    const kin::Chain& chain) {
   service::ServiceConfig config;
   config.workers = 1;
   config.enable_seed_cache = false;
-  return std::make_unique<service::IkService>(
-      [chain] { return ik::makeSolver("quick-ik", chain, {}); }, config);
+  return std::make_unique<test_support::OneSpecRouter>(chain, config);
 }
 
 /// Fast-failing retry setup: every failed callWithRetry burns exactly
@@ -55,13 +55,13 @@ TEST(IkClientMove, RetryBudgetIsTransferredNotCopied) {
   // Real connect (so host/port/budget are armed), then kill the server
   // so every subsequent call fails through the retry path.
   const kin::Chain chain = kin::makeSerpentine(6);
-  auto service = makeService(chain);
-  auto server = std::make_unique<IkServer>(*service);
+  auto stack = makeStack(chain);
+  auto server = std::make_unique<IkServer>(*stack->router);
   server->start();
   IkClient a;
   a.connect("127.0.0.1", server->port(), retryConfig(kBudget));
   server.reset();
-  service.reset();
+  stack.reset();
 
   // Burn part of the budget on the original client: 2 retries.
   EXPECT_EQ(failedCallRetries(a), 2u);
@@ -94,13 +94,13 @@ TEST(IkClientMove, RetryBudgetIsTransferredNotCopied) {
 TEST(IkClientMove, MoveAssignmentTransfersBudgetToo) {
   constexpr std::uint64_t kBudget = 2;
   const kin::Chain chain = kin::makeSerpentine(6);
-  auto service = makeService(chain);
-  auto server = std::make_unique<IkServer>(*service);
+  auto stack = makeStack(chain);
+  auto server = std::make_unique<IkServer>(*stack->router);
   server->start();
   IkClient a;
   a.connect("127.0.0.1", server->port(), retryConfig(kBudget));
   server.reset();
-  service.reset();
+  stack.reset();
 
   IkClient b;
   b = std::move(a);

@@ -24,6 +24,7 @@
 #include "dadu/service/ik_service.hpp"
 #include "dadu/solvers/factory.hpp"
 #include "dadu/workload/targets.hpp"
+#include "one_spec_router.hpp"
 
 namespace dadu::net {
 namespace {
@@ -39,15 +40,18 @@ service::SolverFactory factoryFor(const kin::Chain& chain) {
   return [chain] { return ik::makeSolver("quick-ik", chain, {}); };
 }
 
-/// Service with the seed cache off: determinism across instances
-/// depends on every solve starting from exactly the request's seed.
-std::unique_ptr<IkService> makeService(const kin::Chain& chain,
-                                       std::size_t workers = 2) {
+/// Seed cache off: determinism across instances depends on every
+/// solve starting from exactly the request's seed.
+service::ServiceConfig serviceConfig(std::size_t workers = 2) {
   service::ServiceConfig config;
   config.workers = workers;
   config.queue_capacity = 256;
   config.enable_seed_cache = false;
-  return std::make_unique<IkService>(factoryFor(chain), config);
+  return config;
+}
+
+std::unique_ptr<IkService> makeService(const kin::Chain& chain) {
+  return std::make_unique<IkService>(factoryFor(chain), serviceConfig());
 }
 
 Request makeRequest(const kin::Chain& chain, std::uint32_t index) {
@@ -103,12 +107,13 @@ struct RawConn {
 
 struct Loopback {
   kin::Chain chain = kin::makeSerpentine(kDof);
-  std::unique_ptr<IkService> service;
+  test_support::OneSpecRouter stack;
   std::unique_ptr<IkServer> server;
 
-  explicit Loopback(ServerConfig config = {}, std::size_t workers = 2) {
-    service = makeService(chain, workers);
-    server = std::make_unique<IkServer>(*service, config);
+  explicit Loopback(ServerConfig config = {}, std::size_t workers = 2,
+                    std::uint32_t spec_id = 0)
+      : stack(chain, serviceConfig(workers), spec_id) {
+    server = std::make_unique<IkServer>(*stack.router, config);
     server->start();
   }
   IkClient client(ClientConfig config = {}) {
@@ -262,9 +267,7 @@ TEST(NetLoopbackTest, UnsupportedVersionGetsErrorFrameThenClose) {
 }
 
 TEST(NetLoopbackTest, WrongSpecIdGetsUnknownSpecError) {
-  ServerConfig config;
-  config.robot_spec_id = 5;
-  Loopback net(config);
+  Loopback net({}, 2, /*spec_id=*/5);  // the router's only spec is id 5
   ClientConfig client_config;
   client_config.spec_id = 9;  // not what the server serves
   auto client = net.client(client_config);
@@ -404,8 +407,8 @@ TEST(NetLoopbackTest, StopIsIdempotentAndServerRestartsCleanlyElsewhere) {
   net.server->stop();  // second stop is a no-op
   EXPECT_FALSE(net.server->running());
 
-  // A fresh server over the same service keeps working.
-  IkServer second(*net.service, {});
+  // A fresh server over the same router keeps working.
+  IkServer second(*net.stack.router, {});
   second.start();
   IkClient again;
   again.connect("127.0.0.1", second.port());

@@ -1,12 +1,11 @@
 // Multi-robot serving over real TCP: one IkServer fronting a
-// SpecRouter with three robots.  Covers the wire-level acceptance
-// criteria of the registry PR:
+// SpecRouter with three robots.  Covers:
 //   - requests route by wire spec_id to the right chain (theta DOF);
 //   - a wrong-spec request fails alone — kUnknownSpec for that id,
 //     every other pipelined request answered, connection survives —
 //     and the dadu_net_spec_mismatch counter increments;
 //   - routing through one multi-spec server is bit-identical to
-//     running each spec in its own single-spec server.
+//     solving each request directly with the spec's solver.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,7 +21,7 @@
 #include "dadu/registry/robot_spec_registry.hpp"
 #include "dadu/registry/spec_router.hpp"
 #include "dadu/service/ik_service.hpp"
-#include "dadu/solvers/factory.hpp"
+#include "dadu/solvers/quick_ik.hpp"
 #include "dadu/workload/targets.hpp"
 
 namespace dadu::net {
@@ -145,63 +144,27 @@ TEST(NetMultiSpec, WrongSpecFailsAloneAndConnectionSurvives) {
 }
 
 TEST(NetMultiSpec, RoutedSolvesAreBitIdenticalToDedicatedServers) {
+  // The oracle is what a dedicated deployment of each spec computes: a
+  // direct QuickIkSolver::solve on the same (target, seed).
   MultiLoopback loop;
   IkClient multi = loop.client();
   for (const RobotSpec& spec : loop.reg.specs()) {
-    // A dedicated single-spec deployment for this robot, expecting the
-    // same wire spec id the multi-spec server routes on.
-    service::ServiceConfig service_config;
-    service_config.workers = 1;
-    service_config.enable_seed_cache = false;
-    service::IkService solo_service(RobotSpecRegistry::makeFactory(spec),
-                                    service_config);
-    ServerConfig server_config;
-    server_config.robot_spec_id = spec.id;
-    IkServer solo_server(solo_service, server_config);
-    solo_server.start();
-    IkClient solo;
-    solo.connect("127.0.0.1", solo_server.port());
-
+    ik::QuickIkSolver direct(spec.chain, spec.options);
     for (std::uint32_t i = 0; i < 6; ++i) {
-      const service::Response routed =
-          multi.call(requestFor(spec.chain, i), spec.id);
-      const service::Response dedicated =
-          solo.call(requestFor(spec.chain, i), spec.id);
+      const service::Request request = requestFor(spec.chain, i);
+      const service::Response routed = multi.call(request, spec.id);
+      const ik::SolveResult expected =
+          direct.solve(request.target, request.seed);
       ASSERT_EQ(routed.status, service::ResponseStatus::kSolved);
-      ASSERT_EQ(dedicated.status, service::ResponseStatus::kSolved);
-      EXPECT_EQ(routed.result.iterations, dedicated.result.iterations);
+      EXPECT_EQ(routed.result.status, expected.status);
+      EXPECT_EQ(routed.result.iterations, expected.iterations);
       std::vector<double> a(routed.result.theta.size());
-      std::vector<double> b(dedicated.result.theta.size());
+      std::vector<double> b(expected.theta.size());
       for (std::size_t j = 0; j < a.size(); ++j) a[j] = routed.result.theta[j];
-      for (std::size_t j = 0; j < b.size(); ++j)
-        b[j] = dedicated.result.theta[j];
+      for (std::size_t j = 0; j < b.size(); ++j) b[j] = expected.theta[j];
       EXPECT_TRUE(bitIdentical(a, b)) << spec.name << " task " << i;
     }
-    solo.close();
-    solo_server.stop();
-    solo_service.stop();
   }
-}
-
-TEST(NetMultiSpec, LegacySingleSpecServerStillRejectsOtherSpecs) {
-  // The pre-registry path must keep its behaviour (and now count it).
-  kin::Chain chain = kin::makeSerpentine(5);
-  service::ServiceConfig service_config;
-  service_config.workers = 1;
-  service::IkService svc(
-      [chain] { return ik::makeSolver("quick-ik", chain, {}); },
-      service_config);
-  IkServer server(svc);
-  server.start();
-  IkClient client;
-  client.connect("127.0.0.1", server.port());
-  EXPECT_THROW(client.call(requestFor(chain, 0), 42), WireErrorException);
-  EXPECT_EQ(server.stats().spec_mismatch, 1u);
-  const service::Response ok = client.call(requestFor(chain, 1), 0);
-  EXPECT_EQ(ok.status, service::ResponseStatus::kSolved);
-  client.close();
-  server.stop();
-  svc.stop();
 }
 
 }  // namespace

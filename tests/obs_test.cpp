@@ -229,20 +229,6 @@ TEST(Sink, RecordingSinkRetainsEvents) {
   EXPECT_TRUE(sink.counts().empty());
 }
 
-TEST(Sink, ScopedSpanEmitsOnDestruction) {
-  RecordingSink sink;
-  {
-    ScopedSpan span(&sink, "scope");
-    EXPECT_EQ(sink.spanCount("scope"), 0u);  // not yet
-  }
-  ASSERT_EQ(sink.spanCount("scope"), 1u);
-  EXPECT_GE(sink.spans()[0].elapsed_ms, 0.0);
-}
-
-TEST(Sink, NullSinkIsSafe) {
-  ScopedSpan span(nullptr, "nothing");  // must not crash or emit
-}
-
 // --------------------------------------------------------- exporters
 
 MetricsSnapshot goldenSnapshot() {

@@ -66,13 +66,12 @@ RobotSpecRegistry makeRegistry(const std::vector<std::size_t>& dofs) {
   return reg;
 }
 
-/// submit() through the router, synchronously.
+/// submit() to the spec's lane, synchronously.
 Response call(SpecRouter& router, std::uint32_t spec_id, Request request) {
-  std::promise<Response> promise;
-  auto future = promise.get_future();
-  EXPECT_TRUE(router.submit(spec_id, std::move(request),
-                            [&](Response r) { promise.set_value(std::move(r)); }));
-  return future.get();
+  service::IkService* lane = router.serviceFor(spec_id);
+  EXPECT_NE(lane, nullptr);
+  if (!lane) return {};
+  return lane->submit(std::move(request)).get();
 }
 
 TEST(RobotSpecRegistry, ResolveChainSpecGrammar) {
@@ -148,11 +147,9 @@ TEST(SpecRouter, UnknownSpecReturnsFalseWithoutInvokingCompletion) {
   RouterConfig config;
   config.base.workers = 1;
   SpecRouter router(reg, config);
-  bool invoked = false;
-  EXPECT_FALSE(router.submit(7, requestFor(reg.specs()[0].chain, 0),
-                             [&](Response) { invoked = true; }));
-  EXPECT_FALSE(invoked);
+  // No lane means nothing to submit to: the caller owns the answer.
   EXPECT_EQ(router.serviceFor(7), nullptr);
+  EXPECT_EQ(router.specFor(7), nullptr);
   EXPECT_NE(router.serviceFor(0), nullptr);
 }
 
@@ -240,9 +237,10 @@ TEST(SpecRouter, BatchedDispatchNeverMixesSpecs) {
     for (const RobotSpec& spec : reg.specs()) {
       auto promise = std::make_shared<std::promise<Response>>();
       pending.push_back({spec.id, promise->get_future()});
-      ASSERT_TRUE(router.submit(
-          spec.id, requestFor(spec.chain, static_cast<std::uint32_t>(i)),
-          [promise](Response r) { promise->set_value(std::move(r)); }));
+      service::IkService* lane = router.serviceFor(spec.id);
+      ASSERT_NE(lane, nullptr);
+      lane->submit(requestFor(spec.chain, static_cast<std::uint32_t>(i)),
+                   [promise](Response r) { promise->set_value(std::move(r)); });
     }
   }
   for (auto& p : pending) {

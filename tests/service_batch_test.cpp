@@ -3,20 +3,23 @@
 // contract — batching changes amortization, never per-request
 // semantics.  The load-bearing claims:
 //
-//   - popMany is FIFO and matches pop()'s close/drain behaviour,
+//   - popMany is FIFO and keeps serving a closed queue until drained,
 //   - fused batch solves are bit-identical to sequential solve() calls,
-//   - a batched service returns bit-identical Responses to a
-//     per-request service on the same workload,
+//   - a service returns the bit-identical results of a direct solve()
+//     on the same workload, in bursts of one and coalesced bursts,
 //   - deadlines retire individual lanes (expired-at-pickup and
 //     in-flight watchdog) without stalling batchmates,
 //   - a fault-injected lane fails alone; batchmates solve, and the
 //     exactly-one-outcome accounting holds.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dadu/fault/fault.hpp"
@@ -69,8 +72,8 @@ TEST(BoundedQueuePopMany, CapsAtMaxItems) {
 }
 
 TEST(BoundedQueuePopMany, DrainsAfterCloseThenReturnsZero) {
-  // Same contract as pop(): closed-but-nonempty keeps serving, closed
-  // and empty returns 0 — so shutdown drains finish every queued job.
+  // Closed-but-nonempty keeps serving, closed and empty returns 0 — so
+  // shutdown drains finish every queued job.
   BoundedQueue q(8);
   for (int i = 0; i < 5; ++i)
     ASSERT_EQ(q.tryPush(taggedJob(i)), PushResult::kAccepted);
@@ -189,6 +192,8 @@ Request plainRequest(const kin::Chain& chain, std::uint32_t index) {
 }
 
 TEST(ServiceBatch, BatchedResponsesBitIdenticalToPerRequest) {
+  // Bursts of one and coalesced bursts must both return exactly what a
+  // direct QuickIkSolver::solve computes on the same (target, seed).
   const auto chain = kin::makeSerpentine(8);
   constexpr std::uint32_t kRequests = 48;
 
@@ -209,16 +214,30 @@ TEST(ServiceBatch, BatchedResponsesBitIdenticalToPerRequest) {
     return responses;
   };
 
-  const auto per_request = run(1, 0);
-  const auto batched = run(8, 100);
-  ASSERT_EQ(per_request.size(), batched.size());
-  for (std::size_t i = 0; i < per_request.size(); ++i) {
-    EXPECT_EQ(batched[i].status, per_request[i].status) << i;
-    EXPECT_EQ(batched[i].result.theta, per_request[i].result.theta) << i;
-    EXPECT_EQ(batched[i].result.error, per_request[i].result.error) << i;
-    EXPECT_EQ(batched[i].result.status, per_request[i].result.status) << i;
-    EXPECT_EQ(batched[i].result.iterations, per_request[i].result.iterations)
-        << i;
+  ik::QuickIkSolver direct(chain, {});
+  const auto bits = [](const linalg::VecX& theta) {
+    std::vector<std::uint64_t> out;
+    for (std::size_t j = 0; j < theta.size(); ++j)
+      out.push_back(std::bit_cast<std::uint64_t>(theta[j]));
+    return out;
+  };
+  for (const auto& [max_batch, wait_us] :
+       {std::pair<std::size_t, std::uint32_t>{1, 0}, {8, 100}}) {
+    const auto responses = run(max_batch, wait_us);
+    ASSERT_EQ(responses.size(), kRequests);
+    for (std::uint32_t i = 0; i < kRequests; ++i) {
+      const Request request = plainRequest(chain, i);
+      const ik::SolveResult expected =
+          direct.solve(request.target, request.seed);
+      const Response& got = responses[i];
+      ASSERT_EQ(got.status, ResponseStatus::kSolved)
+          << "max_batch " << max_batch << " request " << i;
+      EXPECT_EQ(got.result.status, expected.status) << max_batch << "/" << i;
+      EXPECT_EQ(got.result.iterations, expected.iterations)
+          << max_batch << "/" << i;
+      EXPECT_EQ(bits(got.result.theta), bits(expected.theta))
+          << max_batch << "/" << i;
+    }
   }
 }
 

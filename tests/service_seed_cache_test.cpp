@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -129,6 +130,21 @@ TEST(SeedCacheLookupMany, ExactDistanceTieMatchesScalarProbeOrder) {
     }
     expectParity(config, inserts, queries);
   }
+}
+
+TEST(SeedCacheLookupMany, HostileCoordinatesStayInRange) {
+  // Far-off, infinite and NaN coordinates (corrupted or hostile input)
+  // clamp to an edge cell instead of overflowing the cell arithmetic,
+  // which an UBSan build traps; both lookup paths agree on them.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<linalg::Vec3> hostile = {
+      {1e300, 0.0, 0.0},  {-1e300, -1e300, 1e300}, {inf, -inf, 0.0},
+      {nan, 0.2, 0.3},    {9.3e18, -9.3e18, 0.0},  {0.1, 0.2, 0.3}};
+  std::vector<std::pair<linalg::Vec3, linalg::VecX>> inserts;
+  for (std::size_t i = 0; i < hostile.size(); ++i)
+    inserts.push_back({hostile[i], thetaFor(static_cast<double>(i))});
+  expectParity(SeedCacheConfig{}, inserts, hostile);
 }
 
 TEST(SeedCacheLookupMany, EmptyAndDegenerateBursts) {

@@ -67,12 +67,13 @@ TEST(BoundedQueue, FifoPushPop) {
     EXPECT_EQ(q.tryPush(std::move(job)), PushResult::kAccepted);
   }
   EXPECT_EQ(q.size(), 3u);
-  Job out;
+  std::vector<Job> out;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(q.pop(out));
-    EXPECT_EQ(out.request.deadline_ms, i);
+    ASSERT_EQ(q.tryPopMany(out, 1), 1u);
+    EXPECT_EQ(out[0].request.deadline_ms, i);
   }
   EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.tryPopMany(out, 1), 0u);  // empty: returns, never waits
 }
 
 TEST(BoundedQueue, RejectsWhenFull) {
@@ -80,8 +81,8 @@ TEST(BoundedQueue, RejectsWhenFull) {
   EXPECT_EQ(q.tryPush(makeJob()), PushResult::kAccepted);
   EXPECT_EQ(q.tryPush(makeJob()), PushResult::kAccepted);
   EXPECT_EQ(q.tryPush(makeJob()), PushResult::kFull);
-  Job out;
-  ASSERT_TRUE(q.pop(out));
+  std::vector<Job> out;
+  ASSERT_EQ(q.popMany(out, 1, std::chrono::microseconds(0)), 1u);
   EXPECT_EQ(q.tryPush(makeJob()), PushResult::kAccepted);  // slot freed
 }
 
@@ -98,16 +99,18 @@ TEST(BoundedQueue, ClosedQueueRejectsPushesButDrainsPops) {
   q.close();
   EXPECT_TRUE(q.closed());
   EXPECT_EQ(q.tryPush(makeJob()), PushResult::kClosed);
-  Job out;
-  EXPECT_TRUE(q.pop(out));   // queued job still served
-  EXPECT_FALSE(q.pop(out));  // then closed-and-empty
+  std::vector<Job> out;
+  const auto no_wait = std::chrono::microseconds(0);
+  EXPECT_EQ(q.popMany(out, 1, no_wait), 1u);  // queued job still served
+  EXPECT_EQ(q.popMany(out, 1, no_wait), 0u);  // then closed-and-empty
 }
 
 TEST(BoundedQueue, CloseWakesBlockedConsumer) {
   BoundedQueue q(2);
   std::thread consumer([&] {
-    Job out;
-    EXPECT_FALSE(q.pop(out));  // must return, not hang
+    std::vector<Job> out;
+    // Must return, not hang.
+    EXPECT_EQ(q.popMany(out, 1, std::chrono::microseconds(0)), 0u);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.close();

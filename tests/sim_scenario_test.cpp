@@ -56,7 +56,7 @@ TEST(SimScenario, EveryPresetUpholdsTheInvariants) {
                                                 : r.violations.front());
     // Every allocated request reached a terminal outcome.
     EXPECT_EQ(r.sent, r.responses + r.wire_errors + r.conn_closed) << name;
-    EXPECT_EQ(r.server.dispatched, r.server.completed) << name;
+    EXPECT_EQ(r.server.requests_dispatched, r.server.requests_completed) << name;
     EXPECT_EQ(r.service.accounted(), r.service.submitted) << name;
   }
 }
@@ -86,6 +86,10 @@ TEST(SimScenario, ChaosKillsConnectionsButLosesNothingSilently) {
   EXPECT_TRUE(r.ok());
   // Corruption/drop faults must actually bite at this volume...
   EXPECT_GT(r.conn_closed + r.wire_errors, 0u);
+  // ...injected solver throws reach clients as kInternal error frames,
+  // exactly as the production server answers them...
+  EXPECT_GT(r.server.internal_errors, 0u);
+  EXPECT_LE(r.server.internal_errors, r.wire_errors);
   // ...and dead clients redial rather than silently abandoning quota.
   EXPECT_GT(r.reconnects, 0u);
   EXPECT_EQ(r.sent, r.responses + r.wire_errors + r.conn_closed);
@@ -135,8 +139,8 @@ TEST(SimScenario, MultispecRoutesThreeSpecsUnderOneServer) {
   // The 2% wrong-spec trickle surfaced as wire errors (kUnknownSpec),
   // counted by the server, and never reached any lane.
   EXPECT_GT(r.wire_errors, 0u);
-  EXPECT_EQ(r.server.unknown_spec, r.wire_errors);
-  EXPECT_EQ(r.server.dispatched, r.service.submitted);
+  EXPECT_EQ(r.server.spec_mismatch, r.wire_errors);
+  EXPECT_EQ(r.server.requests_dispatched, r.service.submitted);
 }
 
 TEST(SimScenario, MultispecReplaysByteIdentically) {
@@ -162,7 +166,10 @@ TEST(SimScenario, SingleSpecDigestsUnchangedByWrongSpecKnob) {
   const ScenarioResult a = runScenario(implicit);
   const ScenarioResult b = runScenario(explicit_single);
   EXPECT_EQ(a.trace.digest(), b.trace.digest());
-  EXPECT_TRUE(a.per_spec.empty());
+  // One spec is a one-spec router: a single lane carrying everything.
+  ASSERT_EQ(a.per_spec.size(), 1u);
+  EXPECT_EQ(a.per_spec[0].spec_id, 0u);
+  EXPECT_EQ(a.per_spec[0].stats.submitted, a.service.submitted);
 }
 
 }  // namespace

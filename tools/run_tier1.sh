@@ -59,21 +59,26 @@ done
 echo "spec backend parity gate: ok (dispatched + forced-scalar legs)"
 
 # Simulation determinism gate: the same seed must replay the whole
-# serving stack byte-identically.  Two chaos runs with a fixed seed
-# must produce bit-identical event traces (the digest in the trailer
-# covers every event, including ones evicted from the bounded buffer).
+# serving stack byte-identically.  Two runs with a fixed seed must
+# produce bit-identical event traces (the digest in the trailer covers
+# every event, including ones evicted from the bounded buffer).  Chaos
+# covers faults at every layer; multispec covers routing across several
+# router lanes and the unknown-spec path of the frame dispatcher.
 sim_dir="$(mktemp -d)"
 trap 'rm -rf "${sim_dir}"' EXIT
-"${build_dir}/tools/dadu" sim --scenario chaos --seed 1337 --requests 20000 \
-  --trace-out "${sim_dir}/a.trace" > "${sim_dir}/a.out"
-"${build_dir}/tools/dadu" sim --scenario chaos --seed 1337 --requests 20000 \
-  --trace-out "${sim_dir}/b.trace" > "${sim_dir}/b.out"
-if ! cmp -s "${sim_dir}/a.trace" "${sim_dir}/b.trace"; then
-  echo "FAIL: sim determinism gate — same seed produced different traces" >&2
-  diff "${sim_dir}/a.trace" "${sim_dir}/b.trace" | head -20 >&2
-  exit 1
-fi
-echo "sim determinism gate: ok ($(grep -c '' "${sim_dir}/a.trace") trace lines identical)"
+for scenario in chaos multispec; do
+  for run in a b; do
+    "${build_dir}/tools/dadu" sim --scenario "${scenario}" --seed 1337 \
+      --requests 20000 --trace-out "${sim_dir}/${scenario}-${run}.trace" \
+      > "${sim_dir}/${scenario}-${run}.out"
+  done
+  if ! cmp -s "${sim_dir}/${scenario}-a.trace" "${sim_dir}/${scenario}-b.trace"; then
+    echo "FAIL: sim determinism gate (${scenario}) — same seed produced different traces" >&2
+    diff "${sim_dir}/${scenario}-a.trace" "${sim_dir}/${scenario}-b.trace" | head -20 >&2
+    exit 1
+  fi
+  echo "sim determinism gate (${scenario}): ok ($(grep -c '' "${sim_dir}/${scenario}-a.trace") trace lines identical)"
+done
 
 # Optional perf-trajectory step: DADU_RUN_BENCH=1 runs the wire-level
 # load generator (64 pipelined TCP connections against a loopback
