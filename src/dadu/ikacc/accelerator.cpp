@@ -7,7 +7,6 @@
 #include "dadu/ikacc/selector.hpp"
 #include "dadu/ikacc/spu.hpp"
 #include "dadu/ikacc/ssu.hpp"
-#include "dadu/kinematics/forward.hpp"
 
 namespace dadu::acc {
 
@@ -18,8 +17,9 @@ IkAccelerator::IkAccelerator(kin::Chain chain, ik::SolveOptions options,
     throw std::invalid_argument("IKAcc requires at least 1 speculation");
   if (config_.num_ssus == 0)
     throw std::invalid_argument("IKAcc requires at least 1 SSU");
-  theta_k_.assign(options_.speculations, linalg::VecX(chain_.dof()));
-  error_k_.assign(options_.speculations, 0.0);
+  const auto max_spec = static_cast<std::size_t>(options_.speculations);
+  batch_.reset(chain_, max_spec);
+  alphas_.resize(max_spec);
 }
 
 ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
@@ -84,20 +84,14 @@ ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
       stats_.scheduler_cycles += bcast;
       stats_.total_cycles += bcast;
 
-      for (std::size_t u = 0; u < wave.count; ++u) {
-        const std::size_t idx = wave.first + u;
-        const int k = static_cast<int>(idx) + 1;
-        const double alpha_k =
-            (static_cast<double>(k) / static_cast<double>(max_spec)) *
+      const std::size_t wave_end = wave.first + wave.count;
+      for (std::size_t idx = wave.first; idx < wave_end; ++idx)
+        alphas_[idx] =
+            (static_cast<double>(idx + 1) / static_cast<double>(max_spec)) *
             head.alpha_base;  // Eq. 9
-        linalg::axpyInto(alpha_k, ws_.dtheta_base, result.theta,
-                         theta_k_[idx]);
-        if (options_.clamp_to_limits)
-          theta_k_[idx] = chain_.clampToLimits(theta_k_[idx]);
-        const linalg::Vec3 x_k =
-            kin::endEffectorPosition(chain_, theta_k_[idx]);
-        error_k_[idx] = (target - x_k).norm();
-      }
+      batch_.evaluateLanes(chain_, result.theta, ws_.dtheta_base,
+                           alphas_.data(), target, options_.clamp_to_limits,
+                           wave.first, wave_end);
       result.fk_evaluations += static_cast<long long>(wave.count);
 
       // All active SSUs run in lockstep: wave latency = one SSU, energy
@@ -120,9 +114,10 @@ ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
 
     // ---- Parameter Selector (functional argmin, ties to smallest k,
     // identical to the software solver) -----------------------------
+    const std::vector<double>& error_k = batch_.errors();
     std::size_t best = 0;
     for (std::size_t idx = 1; idx < max_spec; ++idx)
-      if (error_k_[idx] < error_k_[best]) best = idx;
+      if (error_k[idx] < error_k[best]) best = idx;
 
     // Monotone descent guard (mirrors QuickIkSolver bit-for-bit): the
     // selector's winner is adopted only when it improves on the
@@ -130,7 +125,7 @@ ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
     // solve stalls — the deterministic alpha ladder would only repeat
     // the same losing sweep.  Projected descent (clamp_to_limits) is
     // exempt, exactly as in the software solver.
-    if (!options_.clamp_to_limits && !(error_k_[best] < head.error)) {
+    if (!options_.clamp_to_limits && !(error_k[best] < head.error)) {
       trace_.push_back({result.iterations, spu.cycles, wave_cycles_this_iter,
                         stats_.total_cycles, result.error, head.alpha_base,
                         static_cast<int>(best) + 1});
@@ -138,14 +133,14 @@ ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
       break;
     }
 
-    result.theta = theta_k_[best];
-    result.error = error_k_[best];
+    batch_.candidateInto(best, result.theta);
+    result.error = error_k[best];
 
     trace_.push_back({result.iterations, spu.cycles, wave_cycles_this_iter,
                       stats_.total_cycles, result.error, head.alpha_base,
                       static_cast<int>(best) + 1});
 
-    if (error_k_[best] < options_.accuracy) {
+    if (error_k[best] < options_.accuracy) {
       result.status = ik::Status::kConverged;
       if (options_.record_history) result.error_history.push_back(result.error);
       break;

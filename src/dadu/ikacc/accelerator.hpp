@@ -19,6 +19,7 @@
 #include "dadu/ikacc/config.hpp"
 #include "dadu/ikacc/stats.hpp"
 #include "dadu/ikacc/trace.hpp"
+#include "dadu/kinematics/forward_batch.hpp"
 #include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
@@ -49,8 +50,10 @@ class IkAccelerator final : public ik::IkSolver {
   SolveTrace trace_;
 
   ik::JtWorkspace ws_;
-  std::vector<linalg::VecX> theta_k_;
-  std::vector<double> error_k_;
+  // The SSUs' functional model: the same batched speculation kernel the
+  // software solver runs, evaluated one wave's lane range at a time.
+  kin::BatchedForward batch_;
+  std::vector<double> alphas_;
 };
 
 }  // namespace dadu::acc

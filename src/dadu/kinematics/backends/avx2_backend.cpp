@@ -46,6 +46,21 @@ struct V4 {
     const reg m = _mm256_cmp_pd(q, lim, _CMP_GT_OQ);
     return _mm256_blendv_pd(q, lim, m);
   }
+  // Raw 64-bit lane ops for the trig quadrant fix-up (exact).
+  static reg andBits(reg a, reg b) { return _mm256_and_pd(a, b); }
+  static reg xorBits(reg a, reg b) { return _mm256_xor_pd(a, b); }
+  static reg shiftLeftBits(reg a, int n) {
+    return _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_castpd_si256(a), n));
+  }
+  /// Lanes of m with the sign bit set take b, the rest a.
+  static reg selectBySign(reg m, reg a, reg b) {
+    return _mm256_blendv_pd(a, b, m);
+  }
+  /// True when some lane has !(|x| < lim) — NaN included.
+  static bool anyAbsNotBelow(reg x, reg lim) {
+    const reg abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+    return _mm256_movemask_pd(_mm256_cmp_pd(abs, lim, _CMP_NLT_UQ)) != 0;
+  }
 };
 
 class Avx2SpecBackend final : public SpecBackend {

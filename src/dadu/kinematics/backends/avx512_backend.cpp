@@ -46,6 +46,30 @@ struct V8 {
     const __mmask8 m = _mm512_cmp_pd_mask(q, lim, _CMP_GT_OQ);
     return _mm512_mask_blend_pd(m, q, lim);
   }
+  // Raw 64-bit lane ops for the trig quadrant fix-up (exact; integer
+  // forms because the _pd bitwise ops need AVX512DQ).
+  static reg andBits(reg a, reg b) {
+    return _mm512_castsi512_pd(
+        _mm512_and_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  static reg xorBits(reg a, reg b) {
+    return _mm512_castsi512_pd(
+        _mm512_xor_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  static reg shiftLeftBits(reg a, unsigned n) {
+    return _mm512_castsi512_pd(_mm512_slli_epi64(_mm512_castpd_si512(a), n));
+  }
+  /// Lanes of m with the sign bit set take b, the rest a.
+  static reg selectBySign(reg m, reg a, reg b) {
+    const __m512i bits = _mm512_castpd_si512(m);
+    const __mmask8 neg =
+        _mm512_cmplt_epi64_mask(bits, _mm512_setzero_si512());
+    return _mm512_mask_blend_pd(neg, a, b);
+  }
+  /// True when some lane has !(|x| < lim) — NaN included.
+  static bool anyAbsNotBelow(reg x, reg lim) {
+    return _mm512_cmp_pd_mask(_mm512_abs_pd(x), lim, _CMP_NLT_UQ) != 0;
+  }
 };
 
 class Avx512SpecBackend final : public SpecBackend {

@@ -2,8 +2,12 @@
 // kernel behind the SpecBackend seam.  Compiled at -O3 with baseline
 // ISA flags so the compiler's autovectorizer does what it did before
 // the seam existed — this is the parity reference and the perf
-// baseline every wide backend must beat.
+// baseline every wide backend must beat.  specSinCos, the walk's own
+// sin/cos, is defined here too, so it compiles with the kernel flags.
 #include "dadu/kinematics/backends/spec_backend.hpp"
+
+#include <cmath>
+
 #include "dadu/kinematics/backends/walk_ref.hpp"
 
 namespace dadu::kin {
@@ -44,6 +48,17 @@ class ScalarSpecBackend final : public SpecBackend {
 const SpecBackend& scalarSpecBackend() {
   static const ScalarSpecBackend backend;
   return backend;
+}
+
+void specSinCos(const double* x, double* s, double* c, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (detail::outsideWalkTrig(x[i])) {
+      s[i] = std::sin(x[i]);
+      c[i] = std::cos(x[i]);
+    } else {
+      detail::sinCosFast(x[i], s[i], c[i]);
+    }
+  }
 }
 
 }  // namespace dadu::kin

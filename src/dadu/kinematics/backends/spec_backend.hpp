@@ -14,12 +14,13 @@
 //
 // Parity contract: a backend's results must match the scalar reference
 // within caps().max_ulp_error ULPs per double.  The current wide
-// kernels replicate the scalar operation order exactly — scalar libm
-// sin/cos, mul/add without FMA contraction, IEEE vector sqrt — so
-// their documented bound is 0: bit-identical.  A future backend that
-// fuses multiplies or vectorizes the trig may advertise a nonzero
-// bound; the parity suite reads the bound off the caps and enforces
-// it at every tested DOF x K point.
+// kernels replicate the scalar operation order exactly — the walk's own
+// mul/add-only sin/cos (specSinCos below; libm only for out-of-range
+// lanes, in one shared fix-up pass), mul/add without FMA contraction,
+// IEEE vector sqrt — so their documented bound is 0: bit-identical.  A
+// future backend that fuses multiplies or uses another trig may
+// advertise a nonzero bound; the parity suite reads the bound off the
+// caps and enforces it at every tested DOF x K point.
 //
 // Dispatch: dispatchedSpecBackend() picks the widest backend the CPU
 // supports (CPUID, checked once), overridable with the
@@ -73,7 +74,7 @@ struct SpecLaneBlock {
   double* cand = nullptr;             ///< dof x stride candidate matrix
   double* ct = nullptr;               ///< per-lane cos scratch
   double* st = nullptr;               ///< per-lane sin scratch
-  const double* trig = nullptr;       ///< 4/joint: cos/sin alpha, cos/sin theta0
+  const double* trig = nullptr;       ///< Chain::dhTrig(): cos/sin alpha, cos/sin theta0
   double* errors = nullptr;           ///< per-lane error output
   std::size_t stride = 0;             ///< lane stride of cand rows
 };
@@ -92,7 +93,8 @@ class SpecBackend {
   /// Candidate formation + batched chain walk over lanes [lo, hi):
   /// cand[i][k] = theta[i] + alpha[k] * dtheta[i] (clamped to joint
   /// limits when asked), then the accumulator lanes advance joint by
-  /// joint using the precomputed trig table.
+  /// joint using the chain's DH trig table and the walk's sin/cos of
+  /// each candidate angle.
   virtual void walkLanes(const Chain& chain, const SpecLaneBlock& ws,
                          const linalg::VecX& theta,
                          const linalg::VecX& dtheta, const double* alpha,
@@ -108,6 +110,13 @@ class SpecBackend {
 
 /// The scalar/autovec reference backend (always available).
 const SpecBackend& scalarSpecBackend();
+
+/// The speculation walk's sin/cos, as the scalar reference evaluates it:
+/// s[i] = sin(x[i]), c[i] = cos(x[i]).  Built from IEEE mul/add/sub
+/// only (within 2 ULP of libm) for |x| < 1e5; larger and non-finite x
+/// return std::sin/std::cos exactly.  Every backend's walk reproduces
+/// these values bit for bit.  The scalar FK (dh.hpp) keeps libm.
+void specSinCos(const double* x, double* s, double* c, std::size_t n);
 
 /// Internal: per-ISA factories.  Return nullptr when the backend was
 /// compiled out (non-x86 target or compiler without the ISA flags).

@@ -2,16 +2,18 @@
 //
 // One kernel body serves every wide ISA: the backend translation unit
 // defines a vector wrapper V (width, load/store, broadcast, mul/add/
-// sub/neg, IEEE sqrt, ordered-compare blends) with its own -m flags,
-// instantiates these templates, and gets a kernel whose *operation
-// order is exactly the scalar reference* — each lane performs the same
-// IEEE doubles in the same sequence, just `V::width` lanes per
-// instruction.  Multiplies and adds stay separate (no FMA contraction;
-// the TU compiles with -ffp-contract=off as a belt-and-braces), sin and
-// cos go through scalar libm into the ct/st scratch exactly as the
-// reference does, and vector sqrt is correctly rounded — so the wide
-// backends are bit-identical to the scalar walk, which is the
-// max_ulp_error = 0 parity bound their caps advertise.
+// sub/neg, IEEE sqrt, ordered-compare blends, raw 64-bit bit ops) with
+// its own -m flags, instantiates these templates, and gets a kernel
+// whose *operation order is exactly the scalar reference* — each lane
+// performs the same IEEE doubles in the same sequence, just `V::width`
+// lanes per instruction.  Multiplies and adds stay separate (no FMA
+// contraction; the TU compiles with -ffp-contract=off as a
+// belt-and-braces), the candidate sin/cos is sinCosFast() from
+// walk_ref.hpp written over V ops (sinCosLanesWide), lanes outside its
+// range take the same libm fix-up pass as the reference, and vector
+// sqrt is correctly rounded — so the wide backends are bit-identical to
+// the scalar walk, which is the max_ulp_error = 0 parity bound their
+// caps advertise.
 //
 // Lane ranges need not be multiples of V::width: the vectorized middle
 // covers [lo, lo + floor((hi-lo)/width)*width) and the ragged tail
@@ -84,9 +86,75 @@ void advanceJointWide(linalg::Mat34Batch& acc, const double* ct,
                                      k, hi);
 }
 
+// ct[k] = cos(t0 + q[k]), st[k] = sin(t0 + q[k]) over lanes [lo, hi):
+// sinCosFast() statement for statement, V::width lanes per step, then
+// the shared libm fix-up pass for out-of-range lanes.  Written out over
+// V ops because not every ISA's autovectorizer takes the scalar loop.
+template <typename V>
+void sinCosLanesWide(double t0, const double* q, double* ct, double* st,
+                     std::size_t lo, std::size_t hi) {
+  const auto t0_v = V::set1(t0);
+  const auto two_over_pi = V::set1(kTwoOverPi);
+  const auto shifter = V::set1(kRoundShifter);
+  const auto pio2_hi = V::set1(kPio2Hi);
+  const auto pio2_mid = V::set1(kPio2Mid);
+  const auto pio2_lo = V::set1(kPio2Lo);
+  const auto one = V::set1(1.0);
+  const auto sign = V::set1(-0.0);
+  const auto cutoff = V::set1(kWalkTrigCutoff);
+  const auto horner = [](typename V::reg p, typename V::reg r2, double c) {
+    return V::add(V::mul(p, r2), V::set1(c));
+  };
+
+  bool any_outside = false;
+  std::size_t k = lo;
+  for (; k + V::width <= hi; k += V::width) {
+    const auto x = V::add(t0_v, V::load(q + k));
+    const auto shifted = V::add(V::mul(x, two_over_pi), shifter);
+    const auto kq = V::sub(shifted, shifter);
+    const auto r = V::sub(V::sub(V::sub(x, V::mul(kq, pio2_hi)),
+                                 V::mul(kq, pio2_mid)),
+                          V::mul(kq, pio2_lo));
+    const auto r_sign = V::andBits(r, sign);
+    const auto ra = V::xorBits(r, r_sign);
+    const auto r2 = V::mul(r, r);
+    auto ps = V::set1(kSin17);
+    ps = horner(ps, r2, kSin15);
+    ps = horner(ps, r2, kSin13);
+    ps = horner(ps, r2, kSin11);
+    ps = horner(ps, r2, kSin9);
+    ps = horner(ps, r2, kSin7);
+    ps = horner(ps, r2, kSin5);
+    ps = horner(ps, r2, kSin3);
+    const auto sr = V::xorBits(V::add(ra, V::mul(V::mul(ra, r2), ps)), r_sign);
+    auto pc = V::set1(kCos18);
+    pc = horner(pc, r2, kCos16);
+    pc = horner(pc, r2, kCos14);
+    pc = horner(pc, r2, kCos12);
+    pc = horner(pc, r2, kCos10);
+    pc = horner(pc, r2, kCos8);
+    pc = horner(pc, r2, kCos6);
+    pc = horner(pc, r2, kCos4);
+    pc = horner(pc, r2, kCos2);
+    const auto cr = V::add(one, V::mul(r2, pc));
+    // Quadrant from the low bits of `shifted`, as in sinCosFast().
+    const auto swap = V::shiftLeftBits(shifted, 63);  // bit 0 -> sign
+    const auto sin_sign = V::andBits(V::shiftLeftBits(shifted, 62), sign);
+    const auto cos_sign = V::andBits(
+        V::shiftLeftBits(V::xorBits(shifted, V::shiftLeftBits(shifted, 1)),
+                         62),
+        sign);
+    V::store(st + k, V::xorBits(V::selectBySign(swap, sr, cr), sin_sign));
+    V::store(ct + k, V::xorBits(V::selectBySign(swap, cr, sr), cos_sign));
+    any_outside |= V::anyAbsNotBelow(x, cutoff);
+  }
+  if (any_outside) sinCosFallback(t0, q, ct, st, lo, k);
+  if (k < hi) sinCosLanes(t0, q, ct, st, k, hi);
+}
+
 // One full wide chain walk over lanes [lo, hi): vectorized candidate
-// formation and clamp, scalar libm trig (identical values to the
-// reference), wide per-joint advance.
+// formation and clamp, vectorized trig (bit-identical to the
+// reference's), wide per-joint advance.
 template <typename V>
 void walkLanesWide(const Chain& chain, linalg::Mat34Batch& acc, double* ct,
                    double* st, double* cand, std::size_t stride,
@@ -132,12 +200,7 @@ void walkLanesWide(const Chain& chain, linalg::Mat34Batch& acc, double* ct,
     const double ca = trig[4 * i + 0];
     const double sa = trig[4 * i + 1];
     if (joint.type == JointType::kRevolute) {
-      const double t0 = p.theta;
-      for (std::size_t k = lo; k < hi; ++k) {
-        const double qk = t0 + q[k];
-        ct[k] = std::cos(qk);
-        st[k] = std::sin(qk);
-      }
+      sinCosLanesWide<V>(p.theta, q, ct, st, lo, hi);
       advanceJointWide<V, false>(acc, ct, st, ca, sa, p.a, p.d, q, lo, hi);
     } else {
       const double c0 = trig[4 * i + 2];

@@ -28,6 +28,16 @@ class Chain {
   const linalg::Mat4& base() const { return base_; }
   const std::string& name() const { return name_; }
 
+  /// Per-joint DH constants, 4 doubles per joint: cos/sin of the link
+  /// twist alpha, then cos/sin of the fixed theta offset.  Filled once
+  /// by the constructor (joints are immutable afterwards) with the same
+  /// libm calls dhTransformRevolute/Prismatic make, so FK through the
+  /// table is bit-identical to Joint::transform.
+  const double* dhTrig() const { return dh_trig_.data(); }
+
+  /// {i-1}T_i of joint i at joint variable q, from the DH table.
+  linalg::Mat4 jointTransform(std::size_t i, double q) const;
+
   /// Sum of |a| + |d| over all joints: an upper bound on the distance
   /// from base to end-effector, used by workspace sampling.
   double maxReach() const;
@@ -49,6 +59,7 @@ class Chain {
   std::vector<Joint> joints_;
   std::string name_;
   linalg::Mat4 base_ = linalg::Mat4::identity();
+  std::vector<double> dh_trig_;
 };
 
 }  // namespace dadu::kin

@@ -24,35 +24,32 @@ struct DhParam {
   double theta = 0.0;  ///< joint angle offset (rad), about z_{i-1}
 };
 
-/// {i-1}T_i for a revolute joint at angle q (added to the table's fixed
-/// theta offset).  Written out in closed form — this is the matrix the
-/// accelerator's "Compute {i-1}T_i" pipeline stage produces, and the
-/// FLOP counts in the cycle model (4 trig + 16 mul + 8 add) match it.
-inline linalg::Mat4 dhTransformRevolute(const DhParam& p, double q) {
-  const double ct = std::cos(p.theta + q);
-  const double st = std::sin(p.theta + q);
-  const double ca = std::cos(p.alpha);
-  const double sa = std::sin(p.alpha);
+/// {i-1}T_i from its trig values: ct/st of the total joint angle,
+/// ca/sa of the link twist, and the total offset d along z.  Written out
+/// in closed form — this is the matrix the accelerator's "Compute
+/// {i-1}T_i" pipeline stage produces, and the FLOP counts in the cycle
+/// model (4 trig + 16 mul + 8 add) match it.
+inline linalg::Mat4 dhTransform(const DhParam& p, double ct, double st,
+                                double ca, double sa, double d) {
   linalg::Mat4 t;
   t(0, 0) = ct; t(0, 1) = -st * ca; t(0, 2) = st * sa;  t(0, 3) = p.a * ct;
   t(1, 0) = st; t(1, 1) = ct * ca;  t(1, 2) = -ct * sa; t(1, 3) = p.a * st;
-  t(2, 0) = 0;  t(2, 1) = sa;       t(2, 2) = ca;       t(2, 3) = p.d;
+  t(2, 0) = 0;  t(2, 1) = sa;       t(2, 2) = ca;       t(2, 3) = d;
   t(3, 0) = 0;  t(3, 1) = 0;        t(3, 2) = 0;        t(3, 3) = 1;
   return t;
 }
 
+/// {i-1}T_i for a revolute joint at angle q (added to the table's fixed
+/// theta offset).
+inline linalg::Mat4 dhTransformRevolute(const DhParam& p, double q) {
+  return dhTransform(p, std::cos(p.theta + q), std::sin(p.theta + q),
+                     std::cos(p.alpha), std::sin(p.alpha), p.d);
+}
+
 /// {i-1}T_i for a prismatic joint with extension q (added to d).
 inline linalg::Mat4 dhTransformPrismatic(const DhParam& p, double q) {
-  const double ct = std::cos(p.theta);
-  const double st = std::sin(p.theta);
-  const double ca = std::cos(p.alpha);
-  const double sa = std::sin(p.alpha);
-  linalg::Mat4 t;
-  t(0, 0) = ct; t(0, 1) = -st * ca; t(0, 2) = st * sa;  t(0, 3) = p.a * ct;
-  t(1, 0) = st; t(1, 1) = ct * ca;  t(1, 2) = -ct * sa; t(1, 3) = p.a * st;
-  t(2, 0) = 0;  t(2, 1) = sa;       t(2, 2) = ca;       t(2, 3) = p.d + q;
-  t(3, 0) = 0;  t(3, 1) = 0;        t(3, 2) = 0;        t(3, 3) = 1;
-  return t;
+  return dhTransform(p, std::cos(p.theta), std::sin(p.theta),
+                     std::cos(p.alpha), std::sin(p.alpha), p.d + q);
 }
 
 }  // namespace dadu::kin

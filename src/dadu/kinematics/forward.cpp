@@ -6,7 +6,7 @@ linalg::Mat4 forwardKinematics(const Chain& chain, const linalg::VecX& q) {
   chain.requireSize(q);
   linalg::Mat4 t = chain.base();
   for (std::size_t i = 0; i < chain.dof(); ++i)
-    t = t * chain.joint(i).transform(q[i]);
+    t = t * chain.jointTransform(i, q[i]);
   return t;
 }
 
@@ -20,7 +20,7 @@ void linkFrames(const Chain& chain, const linalg::VecX& q,
   frames.resize(chain.dof());
   linalg::Mat4 t = chain.base();
   for (std::size_t i = 0; i < chain.dof(); ++i) {
-    t = t * chain.joint(i).transform(q[i]);
+    t = t * chain.jointTransform(i, q[i]);
     frames[i] = t;
   }
 }

@@ -29,14 +29,6 @@ void BatchedForward::reset(const Chain& chain, std::size_t lanes) {
     acc_.resize(lanes, mult);
     ct_.resize(stride_);
     st_.resize(stride_);
-    trig_d_.resize(4 * dof_);
-    for (std::size_t i = 0; i < dof_; ++i) {
-      const DhParam& p = chain.joint(i).dh;
-      trig_d_[4 * i + 0] = std::cos(p.alpha);
-      trig_d_[4 * i + 1] = std::sin(p.alpha);
-      trig_d_[4 * i + 2] = std::cos(p.theta);
-      trig_d_[4 * i + 3] = std::sin(p.theta);
-    }
   } else {
     acc_f_.resize(lanes, mult);
     ctf_.resize(stride_);
@@ -76,7 +68,7 @@ void BatchedForward::slicedWalkF64(const Chain& chain,
   block.cand = cand_.data();
   block.ct = ct_.data();
   block.st = st_.data();
-  block.trig = trig_d_.data();
+  block.trig = chain.dhTrig();
   block.errors = errors_.data();
   block.stride = stride_;
 

@@ -4,7 +4,8 @@
 // candidates theta + alpha_k * dtheta_base, one FK pass each.  The
 // scalar path walks the chain once *per candidate*; this kernel walks
 // it once *total*: at each joint it forms the K candidate joint values,
-// takes their K sin/cos, and advances K accumulator transforms held in
+// takes their K sin/cos (f64: the walk's own vectorizable sin/cos, see
+// backends/walk_ref.hpp), and advances K accumulator transforms held in
 // structure-of-arrays layout (linalg::Mat34Batch, batch index
 // innermost).  Besides turning the 4x4 chain product into unit-stride
 // lane arithmetic the compiler can vectorize, hoisting the chain walk
@@ -48,10 +49,11 @@ class SpecBackend;
 /// model) always uses the scalar reference walk.
 class BatchedForward {
  public:
-  /// Arithmetic of the accumulator datapath.  kF64 reproduces
-  /// endEffectorPosition() bit-for-bit (modulo signed zeros); kF32
-  /// reproduces endEffectorPositionF32() — every intermediate held in
-  /// float, candidates and errors still formed in double.
+  /// Arithmetic of the accumulator datapath.  kF64 follows
+  /// endEffectorPosition() term for term but takes the walk's own
+  /// sin/cos (within 2 ULP of libm), so positions agree to ~1e-15;
+  /// kF32 reproduces endEffectorPositionF32() — every intermediate held
+  /// in float (libm trig), candidates and errors still formed in double.
   enum class Precision { kF64, kF32 };
 
   /// `backend` = nullptr binds the process-dispatched backend (CPUID +
@@ -110,8 +112,8 @@ class BatchedForward {
 
   /// Fused multi-request sweep: evaluate every group's lanes through
   /// one shared SoA workspace in a single call.  Per-joint constants
-  /// (link-twist trig, DH offsets) come from the table reset()
-  /// precomputed, so no group recomputes them; the walk itself is
+  /// (link-twist trig, DH offsets) come from the chain's DH table, so
+  /// no group recomputes them; the walk itself is
   /// group-major — each group's accumulator slice stays L1-resident
   /// across the whole chain walk, which measures faster than a
   /// joint-major pass that streams every group's lanes through cache
@@ -157,12 +159,9 @@ class BatchedForward {
   std::vector<double> ct_, st_;  ///< per-lane cos/sin scratch (f64)
   std::vector<float> ctf_, stf_;  ///< per-lane cos/sin scratch (f32)
   std::vector<double> errors_;
-  // Per-joint DH trig constants, 4 per joint (cos/sin of the link
-  // twist alpha, cos/sin of the fixed theta offset), precomputed by
-  // reset() in each datapath's own precision so walks spend their trig
-  // budget on candidates only.  Values match the inline computations
-  // of the scalar chain walks bit-for-bit.
-  std::vector<double> trig_d_;
+  // f32 per-joint DH trig constants, laid out like Chain::dhTrig() but
+  // evaluated in float on the float-narrowed angles, as the f32 scalar
+  // walk does.  The f64 walk reads Chain::dhTrig() directly.
   std::vector<float> trig_f_;
 };
 

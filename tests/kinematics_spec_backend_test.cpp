@@ -1,12 +1,15 @@
 // Speculation-backend tests: registry/dispatch sanity, bit-exact
 // parity of every carried wide backend (AVX2, AVX-512) against the
 // scalar reference across DOF x K grids — revolute and prismatic
-// chains, clamped and free, ragged lane ranges, grouped sweeps — the
+// chains, clamped and free, ragged lane ranges, hostile lanes that take
+// the walk's libm trig fallback, grouped sweeps — the
 // walk-slicing cache seam, and solver-level identity at K > the fused
 // budget.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -199,6 +202,111 @@ TEST(SpecBackendParity, RaggedLaneRangesBitExact) {
           << backend->name() << " lane " << k;
       EXPECT_EQ(ref.errors()[k], wide.errors()[k]);
     }
+  }
+}
+
+/// Bit-identical, except that any two NaNs match (NaN payloads are not
+/// part of the parity contract).
+bool sameBits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// alphaLadder with every third lane replaced by a hostile step: NaN,
+/// +-Inf, +-1e300 and +-1e5.  With theta[0] = 0 and dtheta[0] = 1 the
+/// first joint's candidate angle is exactly the step, so the walk's
+/// libm fix-up lanes (non-finite, beyond and at the 1e5 cutoff) sit
+/// between ordinary lanes inside every vector.
+std::vector<double> hostileLadder(int max_spec, double alpha_base) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double hostile[] = {std::numeric_limits<double>::quiet_NaN(),
+                            inf, -inf, 1e300, -1e300, 1e5, -1e5};
+  std::vector<double> alphas = alphaLadder(max_spec, alpha_base);
+  for (std::size_t k = 1; k < alphas.size(); k += 3)
+    alphas[k] = hostile[(k / 3) % std::size(hostile)];
+  return alphas;
+}
+
+void expectSameLanes(const BatchedForward& ref, const BatchedForward& wide,
+                     std::size_t lanes, const char* name) {
+  for (std::size_t k = 0; k < lanes; ++k) {
+    const linalg::Vec3 pr = ref.position(k);
+    const linalg::Vec3 pw = wide.position(k);
+    EXPECT_TRUE(sameBits(pr.x, pw.x) && sameBits(pr.y, pw.y) &&
+                sameBits(pr.z, pw.z))
+        << name << " position lane " << k;
+    EXPECT_TRUE(sameBits(ref.errors()[k], wide.errors()[k]))
+        << name << " error lane " << k;
+    linalg::VecX cr, cw;
+    ref.candidateInto(k, cr);
+    wide.candidateInto(k, cw);
+    for (std::size_t i = 0; i < cr.size(); ++i)
+      EXPECT_TRUE(sameBits(cr[i], cw[i]))
+          << name << " candidate lane " << k << " joint " << i;
+  }
+}
+
+// The DOF x K grid again with hostile lanes interleaved: every wide
+// backend's libm fix-up lanes, and the ordinary lanes sharing their
+// vectors, must match the scalar reference bit for bit.
+TEST(SpecBackendParity, HostileLanesBitExactAcrossDofKGrid) {
+  for (const std::size_t dof : {7u, 30u, 100u}) {
+    for (const int k_count : {8, 64, 256}) {
+      for (const bool mixed : {false, true}) {
+        const kin::Chain chain =
+            mixed ? makeMixedChain(dof) : kin::makeSerpentine(dof);
+        linalg::VecX theta = patternVec(dof, 0.4, 0.3);
+        linalg::VecX dtheta = patternVec(dof, 1.1, 1.9);
+        theta[0] = 0.0;
+        dtheta[0] = 1.0;
+        const linalg::Vec3 target{0.3, -0.2, 0.5};
+        const auto alphas = hostileLadder(k_count, 0.37);
+        for (const bool clamp : {false, true}) {
+          BatchedForward ref(BatchedForward::Precision::kF64,
+                             &kin::scalarSpecBackend());
+          ref.reset(chain, alphas.size());
+          ref.evaluateLanes(chain, theta, dtheta, alphas.data(), target,
+                            clamp, 0, alphas.size());
+          for (const SpecBackend* backend : runnableBackends()) {
+            if (backend == &kin::scalarSpecBackend()) continue;
+            BatchedForward wide(BatchedForward::Precision::kF64, backend);
+            wide.reset(chain, alphas.size());
+            wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target,
+                               clamp, 0, alphas.size());
+            expectSameLanes(ref, wide, alphas.size(), backend->name());
+          }
+        }
+      }
+    }
+  }
+}
+
+// Hostile lanes on both sides of ragged split points.
+TEST(SpecBackendParity, HostileRaggedLanesBitExact) {
+  const auto chain = kin::makeSerpentine(30);
+  linalg::VecX theta = patternVec(30, 0.4, 0.0);
+  linalg::VecX dtheta = patternVec(30, 1.0, 1.0);
+  theta[0] = 0.0;
+  dtheta[0] = 1.0;
+  const linalg::Vec3 target{0.3, 0.3, 0.3};
+  const auto alphas = hostileLadder(21, 0.5);  // never a lane multiple
+
+  BatchedForward ref(BatchedForward::Precision::kF64,
+                     &kin::scalarSpecBackend());
+  ref.reset(chain, alphas.size());
+  ref.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 0,
+                    alphas.size());
+  for (const SpecBackend* backend : runnableBackends()) {
+    BatchedForward wide(BatchedForward::Precision::kF64, backend);
+    wide.reset(chain, alphas.size());
+    // Odd split points: [0,5), [5,6), [6,21).
+    wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 0,
+                       5);
+    wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 5,
+                       6);
+    wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 6,
+                       alphas.size());
+    expectSameLanes(ref, wide, alphas.size(), backend->name());
   }
 }
 

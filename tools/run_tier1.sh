@@ -46,17 +46,25 @@ ctest --test-dir "${build_dir}" --output-on-failure -j
 
 # Wide-speculation parity gate: the scalar/AVX2/AVX-512 speculation
 # kernels are required to be bit-identical, so the parity suite runs
-# twice — once under whatever backend runtime dispatch picked for this
-# host, and once with the backend forced to scalar via the env
-# override.  The forced-scalar leg also re-runs the suites that lean
-# hardest on the speculation path, proving solver results do not
-# depend on the host ISA.
+# under whatever backend runtime dispatch picked for this host, then
+# with the backend forced to scalar via the env override, and — on
+# hosts with AVX2 — forced to avx2, whose vectorized walk trig is its
+# own explicit code.  The forced legs also re-run the suites that lean
+# hardest on the speculation path (IKAcc's functional model included),
+# proving solver results do not depend on the host ISA.
 "${build_dir}/tests/kinematics_spec_backend_test"
-for suite in kinematics_spec_backend_test kinematics_batch_fk_test \
-    solvers_quick_ik_test service_batch_test; do
-  DADU_SPEC_BACKEND=scalar "${build_dir}/tests/${suite}"
+forced_backends="scalar"
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+  forced_backends="scalar avx2"
+fi
+for backend in ${forced_backends}; do
+  for suite in kinematics_spec_backend_test kinematics_batch_fk_test \
+      kinematics_walk_trig_test solvers_quick_ik_test service_batch_test \
+      ikacc_accelerator_test; do
+    DADU_SPEC_BACKEND="${backend}" "${build_dir}/tests/${suite}"
+  done
 done
-echo "spec backend parity gate: ok (dispatched + forced-scalar legs)"
+echo "spec backend parity gate: ok (dispatched + forced ${forced_backends// /, } legs)"
 
 # Simulation determinism gate: the same seed must replay the whole
 # serving stack byte-identically.  Two runs with a fixed seed must
