@@ -1,5 +1,5 @@
 // AVX2 speculation backend: 4 f64 lanes per vector over the
-// lane-innermost Mat34Batch SoA layout.
+// lane-innermost SoA position lanes.
 //
 // This translation unit is the only place in the library compiled with
 // -mavx2 (see kinematics/CMakeLists.txt); everything it exports is
@@ -32,9 +32,6 @@ struct V4 {
   static reg sub(reg a, reg b) { return _mm256_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm256_mul_pd(a, b); }
   static reg sqrt(reg a) { return _mm256_sqrt_pd(a); }
-  static reg neg(reg a) {
-    return _mm256_xor_pd(a, _mm256_set1_pd(-0.0));  // exact sign flip
-  }
   /// q < lim ? lim : q — ordered compare, so NaN lanes keep q exactly
   /// like the scalar if-chain.
   static reg clampBelow(reg q, reg lim) {
@@ -80,14 +77,13 @@ class Avx2SpecBackend final : public SpecBackend {
                  const linalg::VecX& theta, const linalg::VecX& dtheta,
                  const double* alpha, bool clamp_to_limits, std::size_t lo,
                  std::size_t hi) const override {
-    detail::walkLanesWide<V4>(chain, *ws.acc, ws.ct, ws.st, ws.cand,
-                              ws.stride, ws.trig, theta, dtheta, alpha,
-                              clamp_to_limits, lo, hi);
+    detail::walkPointLanesWide<V4>(chain, ws, theta, dtheta, alpha,
+                                   clamp_to_limits, lo, hi);
   }
 
   void reduceErrors(const SpecLaneBlock& ws, const linalg::Vec3& target,
                     std::size_t lo, std::size_t hi) const override {
-    detail::reduceErrorsWide<V4>(*ws.acc, ws.errors, target, lo, hi);
+    detail::reduceErrorsWide<V4>(ws, target, lo, hi);
   }
 };
 

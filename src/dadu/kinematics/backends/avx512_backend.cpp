@@ -1,5 +1,5 @@
 // AVX-512 speculation backend: 8 f64 lanes per vector over the
-// lane-innermost Mat34Batch SoA layout.
+// lane-innermost SoA position lanes.
 //
 // Compiled with -mavx512f in this translation unit only (see
 // kinematics/CMakeLists.txt) and selected strictly behind a CPUID
@@ -28,13 +28,6 @@ struct V8 {
   static reg sub(reg a, reg b) { return _mm512_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm512_mul_pd(a, b); }
   static reg sqrt(reg a) { return _mm512_sqrt_pd(a); }
-  static reg neg(reg a) {
-    // Exact sign flip via integer xor (_mm512_xor_pd needs AVX512DQ;
-    // this TU only assumes AVX512F).
-    const __m512i sign = _mm512_set1_epi64(0x8000000000000000LL);
-    return _mm512_castsi512_pd(
-        _mm512_xor_si512(_mm512_castpd_si512(a), sign));
-  }
   /// q < lim ? lim : q — ordered compare; NaN lanes keep q, matching
   /// the scalar if-chain.
   static reg clampBelow(reg q, reg lim) {
@@ -89,14 +82,13 @@ class Avx512SpecBackend final : public SpecBackend {
                  const linalg::VecX& theta, const linalg::VecX& dtheta,
                  const double* alpha, bool clamp_to_limits, std::size_t lo,
                  std::size_t hi) const override {
-    detail::walkLanesWide<V8>(chain, *ws.acc, ws.ct, ws.st, ws.cand,
-                              ws.stride, ws.trig, theta, dtheta, alpha,
-                              clamp_to_limits, lo, hi);
+    detail::walkPointLanesWide<V8>(chain, ws, theta, dtheta, alpha,
+                                   clamp_to_limits, lo, hi);
   }
 
   void reduceErrors(const SpecLaneBlock& ws, const linalg::Vec3& target,
                     std::size_t lo, std::size_t hi) const override {
-    detail::reduceErrorsWide<V8>(*ws.acc, ws.errors, target, lo, hi);
+    detail::reduceErrorsWide<V8>(ws, target, lo, hi);
   }
 };
 

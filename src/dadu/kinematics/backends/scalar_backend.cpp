@@ -32,14 +32,15 @@ class ScalarSpecBackend final : public SpecBackend {
                  const linalg::VecX& theta, const linalg::VecX& dtheta,
                  const double* alpha, bool clamp_to_limits, std::size_t lo,
                  std::size_t hi) const override {
-    detail::walkLanes<double>(chain, *ws.acc, ws.ct, ws.st, ws.cand,
-                              ws.stride, ws.trig, theta, dtheta, alpha,
-                              clamp_to_limits, lo, hi);
+    detail::walkPointLanes(chain, ws, theta, dtheta, alpha, clamp_to_limits,
+                           lo, hi);
   }
 
   void reduceErrors(const SpecLaneBlock& ws, const linalg::Vec3& target,
                     std::size_t lo, std::size_t hi) const override {
-    detail::reduceErrors<double>(*ws.acc, ws.errors, target, lo, hi);
+    detail::reduceErrors<double>(ws.pos, ws.pos + ws.stride,
+                                 ws.pos + 2 * ws.stride, ws.errors, target,
+                                 lo, hi);
   }
 };
 

@@ -1,10 +1,11 @@
 // Speculation-backend seam: pluggable kernels for the batched FK walk.
 //
-// kin::BatchedForward owns the SoA workspace (candidates, accumulator
-// lanes, trig tables, errors) and the *semantics* of a speculative
+// kin::BatchedForward owns the SoA workspace (candidates, position
+// lanes, trig scratch, errors) and the *semantics* of a speculative
 // sweep; a SpecBackend owns the *arithmetic* — candidate formation,
-// the per-joint trig-table transform compose, and the per-lane error
-// reduction over a contiguous lane range.  Three implementations ship
+// the tip-to-base point walk (one DH-structured matrix-vector step per
+// joint on three position lanes, the chain base applied last), and the
+// per-lane error reduction over a contiguous lane range.  Three implementations ship
 // today: the scalar/autovec reference walk, an AVX2 kernel (4 f64
 // lanes per vector) and an AVX-512 kernel (8 lanes).  The seam is
 // deliberately wide enough for a GPU or IKAcc-model implementation to
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "dadu/kinematics/chain.hpp"
-#include "dadu/linalg/mat34_batch.hpp"
 #include "dadu/linalg/vec.hpp"
 #include "dadu/linalg/vecx.hpp"
 
@@ -68,9 +68,10 @@ struct SpecBackendCaps {
 
 /// Borrowed view of BatchedForward's f64 workspace for one sweep.
 /// All arrays use the same padded lane stride; a kernel may only read
-/// or write lanes inside the range it was handed.
+/// or write lanes inside the range it was handed.  Only positions are
+/// carried (Quick-IK scores nothing else), not a 3x4 transform per lane.
 struct SpecLaneBlock {
-  linalg::Mat34Batch* acc = nullptr;  ///< 12 rows of `stride` lanes
+  double* pos = nullptr;              ///< x, y, z rows of `stride` lanes
   double* cand = nullptr;             ///< dof x stride candidate matrix
   double* ct = nullptr;               ///< per-lane cos scratch
   double* st = nullptr;               ///< per-lane sin scratch
@@ -92,9 +93,9 @@ class SpecBackend {
 
   /// Candidate formation + batched chain walk over lanes [lo, hi):
   /// cand[i][k] = theta[i] + alpha[k] * dtheta[i] (clamped to joint
-  /// limits when asked), then the accumulator lanes advance joint by
-  /// joint using the chain's DH trig table and the walk's sin/cos of
-  /// each candidate angle.
+  /// limits when asked), then each lane's point moves from the tip to
+  /// the base one joint at a time, using the chain's DH trig table and
+  /// the walk's sin/cos of each candidate angle; pos holds f(theta_k).
   virtual void walkLanes(const Chain& chain, const SpecLaneBlock& ws,
                          const linalg::VecX& theta,
                          const linalg::VecX& dtheta, const double* alpha,

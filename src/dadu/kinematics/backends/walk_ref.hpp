@@ -1,31 +1,39 @@
-// Reference batched chain walk, shared by the scalar backend, the f32
+// Reference batched chain walks, shared by the scalar backend, the f32
 // datapath, and the ragged-tail handling of the wide backends.
 //
-// These templates are the original autovectorizable SoA kernel: batch
-// index innermost, unit-stride lane loops, strict IEEE arithmetic in
-// scalar program order (no reassociation, no FMA — translation units
-// including this header compile with -ffp-contract=off so results are
-// identical whatever ISA the compiler autovectorizes them to).  Every
-// other backend is measured, and ULP-bounded, against this code.
+// These are autovectorizable SoA kernels: batch index innermost,
+// unit-stride lane loops, strict IEEE arithmetic in scalar program
+// order (no reassociation, no FMA — translation units including this
+// header compile with -ffp-contract=off so results are identical
+// whatever ISA the compiler autovectorizes them to).  Every other
+// backend is measured, and ULP-bounded, against this code.
 //
-// The f64 walk takes its candidate sin/cos from sinCosLanes() below,
-// not from libm: a Cody-Waite reduction plus Taylor polynomials built
-// only from IEEE mul/add/sub, so the wide backends can evaluate the
-// same function a vector at a time and stay bit-identical.  Lanes whose
-// angle is non-finite or at least kWalkTrigCutoff in magnitude fall
-// back to std::sin/std::cos in one shared fix-up pass.  The f32 walk
-// keeps libm.
+// The f64 walk (walkPointLanes) computes only what Quick-IK scores: the
+// end-effector position of each candidate.  It applies Eq. 10 to one
+// point from the tip to the base, f(theta) = B * T_1(T_2(... T_N * 0)),
+// so each joint is one DH-structured matrix-vector step on three
+// position lanes (pointStep: 8 mul + 6 add per lane) and the chain base
+// B is applied once, at the end.  Its candidate sin/cos come from
+// sinCosLanes() below, not from libm: a Cody-Waite reduction plus
+// Taylor polynomials built only from IEEE mul/add/sub, so the wide
+// backends can evaluate the same function a vector at a time and stay
+// bit-identical.  Lanes whose angle is non-finite or at least
+// kWalkTrigCutoff in magnitude fall back to std::sin/std::cos in one
+// shared fix-up pass.
+//
+// The f32 walk (walkLanesF32, the FP32-FKU model) keeps the base-to-tip
+// 3x4 transform compose of endEffectorPositionF32 and libm trig.
 #pragma once
 
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
-#include <vector>
 
+#include "dadu/kinematics/backends/spec_backend.hpp"
 #include "dadu/kinematics/chain.hpp"
 #include "dadu/linalg/mat34_batch.hpp"
+#include "dadu/linalg/mat4.hpp"
 #include "dadu/linalg/vec.hpp"
 #include "dadu/linalg/vecx.hpp"
 
@@ -144,37 +152,138 @@ inline void sinCosLanes(double t0, const double* q, double* ct, double* st,
   if (any_outside) sinCosFallback(t0, q, ct, st, lo, hi);
 }
 
+// Candidate joint values q[k] = theta_i + alpha[k] * dtheta_i over
+// lanes [lo, hi), clamped the same way Joint::clamp does.
+inline void formCandidates(const Joint& joint, double ti, double di,
+                           const double* alpha, bool clamp_to_limits,
+                           double* q, std::size_t lo, std::size_t hi) {
+  for (std::size_t k = lo; k < hi; ++k) q[k] = ti + alpha[k] * di;
+  if (clamp_to_limits) {
+    const double qmin = joint.min, qmax = joint.max;
+    for (std::size_t k = lo; k < hi; ++k) {
+      if (q[k] < qmin) q[k] = qmin;
+      if (q[k] > qmax) q[k] = qmax;
+    }
+  }
+}
+
+// One joint of the tip-to-base point walk over lanes [lo, hi):
+//
+//   v_k := {i-1}T_i(q_k) * v_k = RotZ(theta_k) * (RotX(alpha) * v_k + (a, 0, d_k))
+//
+// with ct/st holding cos/sin of each lane's total joint angle and ca/sa
+// those of the link twist.  The DH matrix's exact 0 and 1 entries are
+// never multiplied: 8 mul + 6 add per lane, plus the add that forms a
+// prismatic lane's d.  pointStepWide in walk_wide.hpp performs the
+// same operations in the same order.
+template <bool kPrismatic>
+void pointStep(double* vx, double* vy, double* vz, const double* ct,
+               const double* st, double ca, double sa, double a_len,
+               double d_fixed, const double* q, std::size_t lo,
+               std::size_t hi) {
+  for (std::size_t k = lo; k < hi; ++k) {
+    const double c = ct[k], s = st[k];
+    const double x = vx[k], y = vy[k], z = vz[k];
+    double dl;
+    if constexpr (kPrismatic)
+      dl = d_fixed + q[k];
+    else
+      dl = d_fixed;
+    const double wx = x + a_len;
+    const double wy = ca * y - sa * z;
+    const double wz = sa * y + ca * z + dl;
+    vx[k] = c * wx - s * wy;
+    vy[k] = s * wx + c * wy;
+    vz[k] = wz;
+  }
+}
+
+// p_k := B * v_k for the chain base B, each row accumulated left to
+// right as Mat4::transformPoint does.
+inline void applyBase(const linalg::Mat4& b, double* vx, double* vy,
+                      double* vz, std::size_t lo, std::size_t hi) {
+  for (std::size_t k = lo; k < hi; ++k) {
+    const double x = vx[k], y = vy[k], z = vz[k];
+    vx[k] = b(0, 0) * x + b(0, 1) * y + b(0, 2) * z + b(0, 3);
+    vy[k] = b(1, 0) * x + b(1, 1) * y + b(1, 2) * z + b(1, 3);
+    vz[k] = b(2, 0) * x + b(2, 1) * y + b(2, 2) * z + b(2, 3);
+  }
+}
+
+// One full f64 chain walk over lanes [lo, hi), joint-major from the tip
+// to the base: each joint forms its K candidate values, takes their
+// sin/cos into ct/st (sinCosLanes), then moves the K points one joint
+// closer to the base (pointStep); the chain base is applied last.  The
+// candidate rows are filled in reverse joint order, which changes
+// nothing — every row and lane is independent.  Positions agree with
+// the scalar Mat4 FK to ~1e-15 (another association order, and the
+// walk's own trig).
+inline void walkPointLanes(const Chain& chain, const SpecLaneBlock& ws,
+                           const linalg::VecX& theta,
+                           const linalg::VecX& dtheta, const double* alpha,
+                           bool clamp_to_limits, std::size_t lo,
+                           std::size_t hi) {
+  double* vx = ws.pos;
+  double* vy = ws.pos + ws.stride;
+  double* vz = ws.pos + 2 * ws.stride;
+  for (std::size_t k = lo; k < hi; ++k) vx[k] = vy[k] = vz[k] = 0.0;
+  for (std::size_t i = chain.dof(); i-- > 0;) {
+    const Joint& joint = chain.joint(i);
+    const DhParam& p = joint.dh;
+    const double* trig = ws.trig + 4 * i;
+    double* q = ws.cand + i * ws.stride;
+    formCandidates(joint, theta[i], dtheta[i], alpha, clamp_to_limits, q, lo,
+                   hi);
+    if (joint.type == JointType::kRevolute) {
+      sinCosLanes(p.theta, q, ws.ct, ws.st, lo, hi);
+      pointStep<false>(vx, vy, vz, ws.ct, ws.st, trig[0], trig[1], p.a, p.d,
+                       q, lo, hi);
+    } else {
+      // Prismatic: the rotation is fixed; only d varies per lane.
+      for (std::size_t k = lo; k < hi; ++k) {
+        ws.ct[k] = trig[2];
+        ws.st[k] = trig[3];
+      }
+      pointStep<true>(vx, vy, vz, ws.ct, ws.st, trig[0], trig[1], p.a, p.d,
+                      q, lo, hi);
+    }
+  }
+  applyBase(chain.base(), vx, vy, vz, lo, hi);
+}
+
+// ---- The f32 FKU model -------------------------------------------------
+//
 // Advance the K accumulator transforms across one joint: A_k := A_k *
 // {i-1}T_i(q_k), with the batch index innermost so every statement in
 // the lane loop is a unit-stride multiply-add the compiler can
-// vectorize.  The per-entry expressions reproduce dhTransform{Revolute,
-// Prismatic} times the scalar 4x4 product term-for-term (left-to-right
+// vectorize.  The per-entry expressions reproduce the f32 DH transform
+// times the 4x4 product of forward_f32.cpp term for term (left-to-right
 // accumulation, row 3 contributions dropped — they are exact zeros and
-// an exact +a(i,3)), so given the same per-lane sin/cos, lane results
-// match the scalar chain walk bit-for-bit up to the sign of zero
-// rotation entries.
-template <typename T, bool kPrismatic>
-void advanceJoint(linalg::Mat34BatchT<T>& acc, const T* ct, const T* st,
-                  T ca, T sa, T a_len, T d_fixed, const double* q,
-                  std::size_t lo, std::size_t hi) {
-  T* a00 = acc.row(0, 0); T* a01 = acc.row(0, 1); T* a02 = acc.row(0, 2); T* a03 = acc.row(0, 3);
-  T* a10 = acc.row(1, 0); T* a11 = acc.row(1, 1); T* a12 = acc.row(1, 2); T* a13 = acc.row(1, 3);
-  T* a20 = acc.row(2, 0); T* a21 = acc.row(2, 1); T* a22 = acc.row(2, 2); T* a23 = acc.row(2, 3);
+// an exact +a(i,3)), so lanes match endEffectorPositionF32 bit for bit
+// up to the sign of zero rotation entries.
+template <bool kPrismatic>
+void advanceJointF32(linalg::Mat34BatchF& acc, const float* ct,
+                     const float* st, float ca, float sa, float a_len,
+                     float d_fixed, const double* q, std::size_t lo,
+                     std::size_t hi) {
+  float* a00 = acc.row(0, 0); float* a01 = acc.row(0, 1); float* a02 = acc.row(0, 2); float* a03 = acc.row(0, 3);
+  float* a10 = acc.row(1, 0); float* a11 = acc.row(1, 1); float* a12 = acc.row(1, 2); float* a13 = acc.row(1, 3);
+  float* a20 = acc.row(2, 0); float* a21 = acc.row(2, 1); float* a22 = acc.row(2, 2); float* a23 = acc.row(2, 3);
   for (std::size_t k = lo; k < hi; ++k) {
-    const T c = ct[k], s = st[k];
-    // Column entries of {i-1}T_i at lane k (the dhTransform* values).
-    const T b01 = -s * ca, b11 = c * ca;
-    const T b02 = s * sa, b12 = -c * sa;
-    const T b03 = a_len * c, b13 = a_len * s;
-    T dl;
+    const float c = ct[k], s = st[k];
+    // Column entries of {i-1}T_i at lane k (the DH transform's values).
+    const float b01 = -s * ca, b11 = c * ca;
+    const float b02 = s * sa, b12 = -c * sa;
+    const float b03 = a_len * c, b13 = a_len * s;
+    float dl;
     if constexpr (kPrismatic)
-      dl = d_fixed + static_cast<T>(q[k]);
+      dl = d_fixed + static_cast<float>(q[k]);
     else
       dl = d_fixed;
 
-    const T o00 = a00[k], o01 = a01[k], o02 = a02[k], o03 = a03[k];
-    const T o10 = a10[k], o11 = a11[k], o12 = a12[k], o13 = a13[k];
-    const T o20 = a20[k], o21 = a21[k], o22 = a22[k], o23 = a23[k];
+    const float o00 = a00[k], o01 = a01[k], o02 = a02[k], o03 = a03[k];
+    const float o10 = a10[k], o11 = a11[k], o12 = a12[k], o13 = a13[k];
+    const float o20 = a20[k], o21 = a21[k], o22 = a22[k], o23 = a23[k];
 
     a00[k] = o00 * c + o01 * s;
     a01[k] = o00 * b01 + o01 * b11 + o02 * sa;
@@ -193,79 +302,59 @@ void advanceJoint(linalg::Mat34BatchT<T>& acc, const T* ct, const T* st,
   }
 }
 
-// One full chain walk over lanes [lo, hi): candidate formation, trig,
-// and the per-joint batched advance.  T = double follows the Mat4 path
-// term for term with sinCosLanes() for the candidate trig (within 1e-12
-// of it on the tested chains); T = float reproduces the forward_f32
-// path (candidates stay double, every FK intermediate is float).
-// `trig` is the per-joint DH constant table, 4 entries per joint —
-// cos/sin of the link twist alpha, cos/sin of the fixed theta offset
-// (Chain::dhTrig() for f64).  `stride` is the padded lane stride of the
+// One full f32 chain walk over lanes [lo, hi), base to tip: candidates
+// stay double (as forward_f32 takes them), every FK intermediate is
+// float with libm float trig.  `trig` is the f32 DH constant table laid
+// out like Chain::dhTrig(); `stride` is the padded lane stride of the
 // candidate matrix.
-template <typename T>
-void walkLanes(const Chain& chain, linalg::Mat34BatchT<T>& acc, T* ct, T* st,
-               double* cand, std::size_t stride, const T* trig,
-               const linalg::VecX& theta, const linalg::VecX& dtheta,
-               const double* alpha, bool clamp_to_limits, std::size_t lo,
-               std::size_t hi) {
+inline void walkLanesF32(const Chain& chain, linalg::Mat34BatchF& acc,
+                         float* ct, float* st, double* cand,
+                         std::size_t stride, const float* trig,
+                         const linalg::VecX& theta,
+                         const linalg::VecX& dtheta, const double* alpha,
+                         bool clamp_to_limits, std::size_t lo,
+                         std::size_t hi) {
   acc.setLanes(chain.base(), lo, hi);
   for (std::size_t i = 0; i < chain.dof(); ++i) {
     const Joint& joint = chain.joint(i);
     const DhParam& p = joint.dh;
     double* q = cand + i * stride;
+    formCandidates(joint, theta[i], dtheta[i], alpha, clamp_to_limits, q, lo,
+                   hi);
 
-    // Candidate joint values theta_i + alpha_k * dtheta_i, clamped the
-    // same way Joint::clamp does.
-    const double ti = theta[i], di = dtheta[i];
-    for (std::size_t k = lo; k < hi; ++k) q[k] = ti + alpha[k] * di;
-    if (clamp_to_limits) {
-      const double qmin = joint.min, qmax = joint.max;
-      for (std::size_t k = lo; k < hi; ++k) {
-        if (q[k] < qmin) q[k] = qmin;
-        if (q[k] > qmax) q[k] = qmax;
-      }
-    }
-
-    const T ca = trig[4 * i + 0];
-    const T sa = trig[4 * i + 1];
-    const T a_len = static_cast<T>(p.a);
-    const T d_fix = static_cast<T>(p.d);
+    const float ca = trig[4 * i + 0];
+    const float sa = trig[4 * i + 1];
+    const float a_len = static_cast<float>(p.a);
+    const float d_fix = static_cast<float>(p.d);
     if (joint.type == JointType::kRevolute) {
-      if constexpr (std::is_same_v<T, double>) {
-        sinCosLanes(p.theta, q, ct, st, lo, hi);
-      } else {
-        const T t0 = static_cast<T>(p.theta);
-        for (std::size_t k = lo; k < hi; ++k) {
-          const T qk = t0 + static_cast<T>(q[k]);
-          ct[k] = std::cos(qk);
-          st[k] = std::sin(qk);
-        }
+      const float t0 = static_cast<float>(p.theta);
+      for (std::size_t k = lo; k < hi; ++k) {
+        const float qk = t0 + static_cast<float>(q[k]);
+        ct[k] = std::cos(qk);
+        st[k] = std::sin(qk);
       }
-      advanceJoint<T, false>(acc, ct, st, ca, sa, a_len, d_fix, q, lo, hi);
+      advanceJointF32<false>(acc, ct, st, ca, sa, a_len, d_fix, q, lo, hi);
     } else {
-      // Prismatic: the rotation block is fixed; only d varies per lane.
-      const T c0 = trig[4 * i + 2];
-      const T s0 = trig[4 * i + 3];
+      const float c0 = trig[4 * i + 2];
+      const float s0 = trig[4 * i + 3];
       for (std::size_t k = lo; k < hi; ++k) {
         ct[k] = c0;
         st[k] = s0;
       }
-      advanceJoint<T, true>(acc, ct, st, ca, sa, a_len, d_fix, q, lo, hi);
+      advanceJointF32<true>(acc, ct, st, ca, sa, a_len, d_fix, q, lo, hi);
     }
   }
 }
 
-// e_k = ||target - x_k||, accumulated x, y, z like Vec3::norm so the
-// scalar path's errors are reproduced exactly.  f32 positions are
-// widened to double first, as endEffectorPositionF32 does.
+// e_k = ||target - p_k|| from the x, y, z position rows, accumulated
+// like Vec3::norm so the scalar path's errors are reproduced exactly.
+// f32 positions are widened to double first, as endEffectorPositionF32
+// does.
 template <typename T>
-void reduceErrors(const linalg::Mat34BatchT<T>& acc, double* err,
+void reduceErrors(const T* px, const T* py, const T* pz, double* err,
                   const linalg::Vec3& target, std::size_t lo,
                   std::size_t hi) {
   const double tx = target.x, ty = target.y, tz = target.z;
-  const T* px = acc.row(0, 3);
-  const T* py = acc.row(1, 3);
-  const T* pz = acc.row(2, 3);
   for (std::size_t k = lo; k < hi; ++k) {
     const double dx = tx - static_cast<double>(px[k]);
     const double dy = ty - static_cast<double>(py[k]);

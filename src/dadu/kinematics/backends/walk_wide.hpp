@@ -2,18 +2,21 @@
 //
 // One kernel body serves every wide ISA: the backend translation unit
 // defines a vector wrapper V (width, load/store, broadcast, mul/add/
-// sub/neg, IEEE sqrt, ordered-compare blends, raw 64-bit bit ops) with
+// sub, IEEE sqrt, ordered-compare blends, raw 64-bit bit ops) with
 // its own -m flags, instantiates these templates, and gets a kernel
 // whose *operation order is exactly the scalar reference* — each lane
 // performs the same IEEE doubles in the same sequence, just `V::width`
-// lanes per instruction.  Multiplies and adds stay separate (no FMA
-// contraction; the TU compiles with -ffp-contract=off as a
-// belt-and-braces), the candidate sin/cos is sinCosFast() from
-// walk_ref.hpp written over V ops (sinCosLanesWide), lanes outside its
-// range take the same libm fix-up pass as the reference, and vector
-// sqrt is correctly rounded — so the wide backends are bit-identical to
-// the scalar walk, which is the max_ulp_error = 0 parity bound their
-// caps advertise.
+// lanes per instruction.  The walk is walk_ref.hpp's tip-to-base point
+// walk: per joint a trig pass into ct/st, then the DH-structured point
+// step (pointStepWide, 8 mul + 6 add per lane) on three position
+// lanes, and the chain base applied once at the end.  Multiplies and
+// adds stay separate (no FMA contraction; the TU compiles with
+// -ffp-contract=off as a belt-and-braces), the candidate sin/cos is
+// sinCosFast() from walk_ref.hpp written over V ops (sinCosLanesWide),
+// lanes outside its range take the same libm fix-up pass as the
+// reference, and vector sqrt is correctly rounded — so the wide
+// backends are bit-identical to the scalar walk, which is the
+// max_ulp_error = 0 parity bound their caps advertise.
 //
 // Lane ranges need not be multiples of V::width: the vectorized middle
 // covers [lo, lo + floor((hi-lo)/width)*width) and the ragged tail
@@ -23,25 +26,22 @@
 #include <cmath>
 #include <cstddef>
 
+#include "dadu/kinematics/backends/spec_backend.hpp"
 #include "dadu/kinematics/backends/walk_ref.hpp"
 #include "dadu/kinematics/chain.hpp"
-#include "dadu/linalg/mat34_batch.hpp"
+#include "dadu/linalg/mat4.hpp"
 #include "dadu/linalg/vec.hpp"
 #include "dadu/linalg/vecx.hpp"
 
 namespace dadu::kin::detail {
 
-// The per-joint transform compose, V::width lanes per step.  Mirrors
-// advanceJoint<double, kPrismatic> statement for statement.
+// One joint of the tip-to-base point walk, V::width lanes per step.
+// Mirrors pointStep<kPrismatic> statement for statement.
 template <typename V, bool kPrismatic>
-void advanceJointWide(linalg::Mat34Batch& acc, const double* ct,
-                      const double* st, double ca, double sa, double a_len,
-                      double d_fixed, const double* q, std::size_t lo,
-                      std::size_t hi) {
-  double* a00 = acc.row(0, 0); double* a01 = acc.row(0, 1); double* a02 = acc.row(0, 2); double* a03 = acc.row(0, 3);
-  double* a10 = acc.row(1, 0); double* a11 = acc.row(1, 1); double* a12 = acc.row(1, 2); double* a13 = acc.row(1, 3);
-  double* a20 = acc.row(2, 0); double* a21 = acc.row(2, 1); double* a22 = acc.row(2, 2); double* a23 = acc.row(2, 3);
-
+void pointStepWide(double* vx, double* vy, double* vz, const double* ct,
+                   const double* st, double ca, double sa, double a_len,
+                   double d_fixed, const double* q, std::size_t lo,
+                   std::size_t hi) {
   const auto ca_v = V::set1(ca);
   const auto sa_v = V::set1(sa);
   const auto al_v = V::set1(a_len);
@@ -51,39 +51,43 @@ void advanceJointWide(linalg::Mat34Batch& acc, const double* ct,
   for (; k + V::width <= hi; k += V::width) {
     const auto c = V::load(ct + k);
     const auto s = V::load(st + k);
-    // Column entries of {i-1}T_i: b01 = -s*ca, b11 = c*ca, b02 = s*sa,
-    // b12 = -c*sa, b03 = a_len*c, b13 = a_len*s — scalar order kept.
-    const auto b01 = V::mul(V::neg(s), ca_v);
-    const auto b11 = V::mul(c, ca_v);
-    const auto b02 = V::mul(s, sa_v);
-    const auto b12 = V::mul(V::neg(c), sa_v);
-    const auto b03 = V::mul(al_v, c);
-    const auto b13 = V::mul(al_v, s);
+    const auto x = V::load(vx + k);
+    const auto y = V::load(vy + k);
+    const auto z = V::load(vz + k);
     const auto dl = kPrismatic ? V::add(df_v, V::load(q + k)) : df_v;
-
-    // One output row at a time keeps the live register set small
-    // enough for 16-register ISAs (AVX2) without spilling the b*.
-    const auto row = [&](double* r0, double* r1, double* r2, double* r3) {
-      const auto o0 = V::load(r0 + k);
-      const auto o1 = V::load(r1 + k);
-      const auto o2 = V::load(r2 + k);
-      const auto o3 = V::load(r3 + k);
-      V::store(r0 + k, V::add(V::mul(o0, c), V::mul(o1, s)));
-      V::store(r1 + k, V::add(V::add(V::mul(o0, b01), V::mul(o1, b11)),
-                              V::mul(o2, sa_v)));
-      V::store(r2 + k, V::add(V::add(V::mul(o0, b02), V::mul(o1, b12)),
-                              V::mul(o2, ca_v)));
-      V::store(r3 + k, V::add(V::add(V::add(V::mul(o0, b03), V::mul(o1, b13)),
-                                     V::mul(o2, dl)),
-                              o3));
-    };
-    row(a00, a01, a02, a03);
-    row(a10, a11, a12, a13);
-    row(a20, a21, a22, a23);
+    const auto wx = V::add(x, al_v);
+    const auto wy = V::sub(V::mul(ca_v, y), V::mul(sa_v, z));
+    const auto wz = V::add(V::add(V::mul(sa_v, y), V::mul(ca_v, z)), dl);
+    V::store(vx + k, V::sub(V::mul(c, wx), V::mul(s, wy)));
+    V::store(vy + k, V::add(V::mul(s, wx), V::mul(c, wy)));
+    V::store(vz + k, wz);
   }
   if (k < hi)
-    advanceJoint<double, kPrismatic>(acc, ct, st, ca, sa, a_len, d_fixed, q,
-                                     k, hi);
+    pointStep<kPrismatic>(vx, vy, vz, ct, st, ca, sa, a_len, d_fixed, q, k,
+                          hi);
+}
+
+// p_k := B * v_k, V::width lanes per step; applyBase's order.
+template <typename V>
+void applyBaseWide(const linalg::Mat4& b, double* vx, double* vy, double* vz,
+                   std::size_t lo, std::size_t hi) {
+  const auto row = [&b](std::size_t r, typename V::reg x, typename V::reg y,
+                        typename V::reg z) {
+    return V::add(V::add(V::add(V::mul(V::set1(b(r, 0)), x),
+                                V::mul(V::set1(b(r, 1)), y)),
+                         V::mul(V::set1(b(r, 2)), z)),
+                  V::set1(b(r, 3)));
+  };
+  std::size_t k = lo;
+  for (; k + V::width <= hi; k += V::width) {
+    const auto x = V::load(vx + k);
+    const auto y = V::load(vy + k);
+    const auto z = V::load(vz + k);
+    V::store(vx + k, row(0, x, y, z));
+    V::store(vy + k, row(1, x, y, z));
+    V::store(vz + k, row(2, x, y, z));
+  }
+  if (k < hi) applyBase(b, vx, vy, vz, k, hi);
 }
 
 // ct[k] = cos(t0 + q[k]), st[k] = sin(t0 + q[k]) over lanes [lo, hi):
@@ -152,21 +156,25 @@ void sinCosLanesWide(double t0, const double* q, double* ct, double* st,
   if (k < hi) sinCosLanes(t0, q, ct, st, k, hi);
 }
 
-// One full wide chain walk over lanes [lo, hi): vectorized candidate
-// formation and clamp, vectorized trig (bit-identical to the
-// reference's), wide per-joint advance.
+// One full wide chain walk over lanes [lo, hi): walkPointLanes with
+// vectorized candidate formation and clamp, vectorized trig
+// (bit-identical to the reference's) and the wide point step.
 template <typename V>
-void walkLanesWide(const Chain& chain, linalg::Mat34Batch& acc, double* ct,
-                   double* st, double* cand, std::size_t stride,
-                   const double* trig, const linalg::VecX& theta,
-                   const linalg::VecX& dtheta, const double* alpha,
-                   bool clamp_to_limits, std::size_t lo, std::size_t hi) {
-  acc.setLanes(chain.base(), lo, hi);
+void walkPointLanesWide(const Chain& chain, const SpecLaneBlock& ws,
+                        const linalg::VecX& theta,
+                        const linalg::VecX& dtheta, const double* alpha,
+                        bool clamp_to_limits, std::size_t lo,
+                        std::size_t hi) {
+  double* vx = ws.pos;
+  double* vy = ws.pos + ws.stride;
+  double* vz = ws.pos + 2 * ws.stride;
+  for (std::size_t k = lo; k < hi; ++k) vx[k] = vy[k] = vz[k] = 0.0;
   const std::size_t main_end = lo + ((hi - lo) / V::width) * V::width;
-  for (std::size_t i = 0; i < chain.dof(); ++i) {
+  for (std::size_t i = chain.dof(); i-- > 0;) {
     const Joint& joint = chain.joint(i);
     const DhParam& p = joint.dh;
-    double* q = cand + i * stride;
+    const double* trig = ws.trig + 4 * i;
+    double* q = ws.cand + i * ws.stride;
 
     // q[k] = theta_i + alpha[k] * dtheta_i (mul first, then add — the
     // scalar expression order), clamped with ordered compares so NaN
@@ -197,33 +205,31 @@ void walkLanesWide(const Chain& chain, linalg::Mat34Batch& acc, double* ct,
       }
     }
 
-    const double ca = trig[4 * i + 0];
-    const double sa = trig[4 * i + 1];
     if (joint.type == JointType::kRevolute) {
-      sinCosLanesWide<V>(p.theta, q, ct, st, lo, hi);
-      advanceJointWide<V, false>(acc, ct, st, ca, sa, p.a, p.d, q, lo, hi);
+      sinCosLanesWide<V>(p.theta, q, ws.ct, ws.st, lo, hi);
+      pointStepWide<V, false>(vx, vy, vz, ws.ct, ws.st, trig[0], trig[1],
+                              p.a, p.d, q, lo, hi);
     } else {
-      const double c0 = trig[4 * i + 2];
-      const double s0 = trig[4 * i + 3];
       for (std::size_t k = lo; k < hi; ++k) {
-        ct[k] = c0;
-        st[k] = s0;
+        ws.ct[k] = trig[2];
+        ws.st[k] = trig[3];
       }
-      advanceJointWide<V, true>(acc, ct, st, ca, sa, p.a, p.d, q, lo, hi);
+      pointStepWide<V, true>(vx, vy, vz, ws.ct, ws.st, trig[0], trig[1],
+                             p.a, p.d, q, lo, hi);
     }
   }
+  applyBaseWide<V>(chain.base(), vx, vy, vz, lo, hi);
 }
 
 // errors[k] = sqrt(dx*dx + dy*dy + dz*dz), V::width lanes at a time,
 // same association order as the scalar reduction; vector sqrt is
 // IEEE-correctly rounded, so results are bit-identical.
 template <typename V>
-void reduceErrorsWide(const linalg::Mat34Batch& acc, double* err,
-                      const linalg::Vec3& target, std::size_t lo,
-                      std::size_t hi) {
-  const double* px = acc.row(0, 3);
-  const double* py = acc.row(1, 3);
-  const double* pz = acc.row(2, 3);
+void reduceErrorsWide(const SpecLaneBlock& ws, const linalg::Vec3& target,
+                      std::size_t lo, std::size_t hi) {
+  const double* px = ws.pos;
+  const double* py = ws.pos + ws.stride;
+  const double* pz = ws.pos + 2 * ws.stride;
   const auto tx = V::set1(target.x);
   const auto ty = V::set1(target.y);
   const auto tz = V::set1(target.z);
@@ -234,9 +240,9 @@ void reduceErrorsWide(const linalg::Mat34Batch& acc, double* err,
     const auto dz = V::sub(tz, V::load(pz + k));
     const auto d2 = V::add(V::add(V::mul(dx, dx), V::mul(dy, dy)),
                            V::mul(dz, dz));
-    V::store(err + k, V::sqrt(d2));
+    V::store(ws.errors + k, V::sqrt(d2));
   }
-  if (k < hi) reduceErrors<double>(acc, err, target, k, hi);
+  if (k < hi) reduceErrors<double>(px, py, pz, ws.errors, target, k, hi);
 }
 
 }  // namespace dadu::kin::detail

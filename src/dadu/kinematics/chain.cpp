@@ -29,15 +29,6 @@ Chain::Chain(std::vector<Joint> joints, std::string name, linalg::Mat4 base)
   }
 }
 
-linalg::Mat4 Chain::jointTransform(std::size_t i, double q) const {
-  const Joint& j = joints_[i];
-  const double* trig = &dh_trig_[4 * i];
-  if (j.type == JointType::kRevolute)
-    return dhTransform(j.dh, std::cos(j.dh.theta + q),
-                       std::sin(j.dh.theta + q), trig[0], trig[1], j.dh.d);
-  return dhTransform(j.dh, trig[2], trig[3], trig[0], trig[1], j.dh.d + q);
-}
-
 double Chain::maxReach() const {
   double reach = 0.0;
   for (const Joint& j : joints_) {

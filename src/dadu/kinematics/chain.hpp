@@ -31,12 +31,10 @@ class Chain {
   /// Per-joint DH constants, 4 doubles per joint: cos/sin of the link
   /// twist alpha, then cos/sin of the fixed theta offset.  Filled once
   /// by the constructor (joints are immutable afterwards) with the same
-  /// libm calls dhTransformRevolute/Prismatic make, so FK through the
-  /// table is bit-identical to Joint::transform.
+  /// libm calls dhTransformRevolute/Prismatic make, so the scalar FK
+  /// that reads it matches products of Joint::transform entry for entry
+  /// (up to the sign of zero).
   const double* dhTrig() const { return dh_trig_.data(); }
-
-  /// {i-1}T_i of joint i at joint variable q, from the DH table.
-  linalg::Mat4 jointTransform(std::size_t i, double q) const;
 
   /// Sum of |a| + |d| over all joints: an upper bound on the distance
   /// from base to end-effector, used by workspace sampling.

@@ -33,7 +33,10 @@ std::vector<linalg::Mat4> linkFrames(const Chain& chain,
 
 /// Number of floating-point multiply-adds one end-effector FK costs
 /// (N 4x4 matrix multiplies + trig); the unit of the paper's Fig. 5b
-/// "computation load" axis and of the platform timing models.
+/// "computation load" axis and of the platform timing models.  It
+/// counts the paper's dense product on purpose — the Atom/TX1 models
+/// of Tables 2 and 3 are calibrated against it — not the structured
+/// compose forwardKinematics runs.
 long long fkFlops(std::size_t dof);
 
 }  // namespace dadu::kin

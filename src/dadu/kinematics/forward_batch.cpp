@@ -26,7 +26,7 @@ void BatchedForward::reset(const Chain& chain, std::size_t lanes) {
   cand_.resize(dof_ * stride_);
   errors_.resize(stride_);
   if (precision_ == Precision::kF64) {
-    acc_.resize(lanes, mult);
+    pos_.resize(3 * stride_);
     ct_.resize(stride_);
     st_.resize(stride_);
   } else {
@@ -64,7 +64,7 @@ void BatchedForward::slicedWalkF64(const Chain& chain,
                                    bool clamp_to_limits, std::size_t lo,
                                    std::size_t hi) {
   SpecLaneBlock block;
-  block.acc = &acc_;
+  block.pos = pos_.data();
   block.cand = cand_.data();
   block.ct = ct_.data();
   block.st = st_.data();
@@ -73,7 +73,7 @@ void BatchedForward::slicedWalkF64(const Chain& chain,
   block.stride = stride_;
 
   // Slice to the backend's cache-residency budget: each slice's
-  // accumulator lanes stay L1-resident across its whole chain walk.
+  // position lanes stay L1-resident across its whole chain walk.
   // Lanes are independent, so any split produces identical results.
   const std::size_t budget =
       std::max<std::size_t>(backend_->caps().max_fused_lanes, 1);
@@ -84,6 +84,19 @@ void BatchedForward::slicedWalkF64(const Chain& chain,
                         s, e);
     backend_->reduceErrors(block, target, s, e);
   }
+}
+
+void BatchedForward::walkF32(const Chain& chain, const linalg::VecX& theta,
+                             const linalg::VecX& dtheta, const double* alpha,
+                             const linalg::Vec3& target, bool clamp_to_limits,
+                             std::size_t lo, std::size_t hi) {
+  noteSlice(hi - lo);
+  detail::walkLanesF32(chain, acc_f_, ctf_.data(), stf_.data(), cand_.data(),
+                       stride_, trig_f_.data(), theta, dtheta, alpha,
+                       clamp_to_limits, lo, hi);
+  detail::reduceErrors<float>(acc_f_.row(0, 3), acc_f_.row(1, 3),
+                              acc_f_.row(2, 3), errors_.data(), target, lo,
+                              hi);
 }
 
 void BatchedForward::evaluateLanes(const Chain& chain,
@@ -104,13 +117,8 @@ void BatchedForward::evaluateLanes(const Chain& chain,
     slicedWalkF64(chain, theta, dtheta, alpha, target, clamp_to_limits,
                   lane_begin, lane_end);
   } else {
-    noteSlice(lane_end - lane_begin);
-    detail::walkLanes<float>(chain, acc_f_, ctf_.data(), stf_.data(),
-                             cand_.data(), stride_, trig_f_.data(), theta,
-                             dtheta, alpha, clamp_to_limits, lane_begin,
-                             lane_end);
-    detail::reduceErrors<float>(acc_f_, errors_.data(), target, lane_begin,
-                                lane_end);
+    walkF32(chain, theta, dtheta, alpha, target, clamp_to_limits,
+            lane_begin, lane_end);
   }
 }
 
@@ -128,7 +136,7 @@ void BatchedForward::evaluateGrouped(const Chain& chain,
     chain.requireSize(*groups[g].dtheta);
   }
 
-  // Group-major on purpose: each group's accumulator slice stays
+  // Group-major on purpose: each group's position slice stays
   // L1-resident across its whole chain walk (a joint-major pass that
   // re-streams every group's lanes per joint measured ~30% slower).
   // Per lane this is exactly the single-target walk, so grouped
@@ -140,19 +148,15 @@ void BatchedForward::evaluateGrouped(const Chain& chain,
       slicedWalkF64(chain, *grp.theta, *grp.dtheta, alpha, grp.target,
                     clamp_to_limits, grp.lane_begin, grp.lane_end);
     } else {
-      noteSlice(grp.lane_end - grp.lane_begin);
-      detail::walkLanes<float>(chain, acc_f_, ctf_.data(), stf_.data(),
-                               cand_.data(), stride_, trig_f_.data(),
-                               *grp.theta, *grp.dtheta, alpha,
-                               clamp_to_limits, grp.lane_begin, grp.lane_end);
-      detail::reduceErrors<float>(acc_f_, errors_.data(), grp.target,
-                                  grp.lane_begin, grp.lane_end);
+      walkF32(chain, *grp.theta, *grp.dtheta, alpha, grp.target,
+              clamp_to_limits, grp.lane_begin, grp.lane_end);
     }
   }
 }
 
 linalg::Vec3 BatchedForward::position(std::size_t k) const {
-  return precision_ == Precision::kF64 ? acc_.position(k) : acc_f_.position(k);
+  if (precision_ == Precision::kF32) return acc_f_.position(k);
+  return {pos_[k], pos_[stride_ + k], pos_[2 * stride_ + k]};
 }
 
 void BatchedForward::candidateInto(std::size_t k, linalg::VecX& out) const {

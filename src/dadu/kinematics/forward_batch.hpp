@@ -1,15 +1,25 @@
 // Batched speculative forward kinematics — the software FKU array.
 //
 // Quick-IK's inner loop (Algorithm 1, lines 6-15) evaluates K
-// candidates theta + alpha_k * dtheta_base, one FK pass each.  The
-// scalar path walks the chain once *per candidate*; this kernel walks
-// it once *total*: at each joint it forms the K candidate joint values,
-// takes their K sin/cos (f64: the walk's own vectorizable sin/cos, see
-// backends/walk_ref.hpp), and advances K accumulator transforms held in
-// structure-of-arrays layout (linalg::Mat34Batch, batch index
-// innermost).  Besides turning the 4x4 chain product into unit-stride
-// lane arithmetic the compiler can vectorize, hoisting the chain walk
-// shares everything that is per-joint rather than per-candidate:
+// candidates theta + alpha_k * dtheta_base, one FK pass each, and
+// scores only their end-effector positions (line 16).  The scalar path
+// walks the chain once *per candidate*; this kernel walks it once
+// *total*, and carries positions only.
+//
+// f64: Eq. 10 applied to one point, f(theta) = B * T_1(T_2(... T_N * 0)),
+// evaluated from the tip to the base.  At each joint the kernel forms
+// the K candidate joint values, takes their K sin/cos (the walk's own
+// vectorizable sin/cos, see backends/walk_ref.hpp), and moves K points
+// one joint closer to the base with one DH-structured matrix-vector
+// step, v := RotZ(theta) * (RotX(alpha) * v + (a, 0, d)) — 8 mul + 6
+// add per lane on three structure-of-arrays position rows (batch index
+// innermost).  The chain base B is applied once, at the end.
+//
+// f32 (the FP32-FKU model): K accumulator transforms in a
+// linalg::Mat34BatchF advance base to tip, reproducing
+// endEffectorPositionF32.
+//
+// Both share everything that is per-joint rather than per-candidate:
 // cos/sin of the fixed link twist alpha happen once per joint instead
 // of once per joint per candidate, and no candidate VecX or Mat4
 // temporaries exist at all.
@@ -49,9 +59,9 @@ class SpecBackend;
 /// model) always uses the scalar reference walk.
 class BatchedForward {
  public:
-  /// Arithmetic of the accumulator datapath.  kF64 follows
-  /// endEffectorPosition() term for term but takes the walk's own
-  /// sin/cos (within 2 ULP of libm), so positions agree to ~1e-15;
+  /// Arithmetic of the walk.  kF64 is the tip-to-base point walk with
+  /// the walk's own sin/cos (within 2 ULP of libm), so positions agree
+  /// with endEffectorPosition() to ~1e-15;
   /// kF32 reproduces endEffectorPositionF32() — every intermediate held
   /// in float (libm trig), candidates and errors still formed in double.
   enum class Precision { kF64, kF32 };
@@ -114,7 +124,7 @@ class BatchedForward {
   /// one shared SoA workspace in a single call.  Per-joint constants
   /// (link-twist trig, DH offsets) come from the chain's DH table, so
   /// no group recomputes them; the walk itself is
-  /// group-major — each group's accumulator slice stays L1-resident
+  /// group-major — each group's position slice stays L1-resident
   /// across the whole chain walk, which measures faster than a
   /// joint-major pass that streams every group's lanes through cache
   /// at each joint.  Each lane's values depend only on its own group's
@@ -142,6 +152,11 @@ class BatchedForward {
                      const linalg::VecX& dtheta, const double* alpha,
                      const linalg::Vec3& target, bool clamp_to_limits,
                      std::size_t lo, std::size_t hi);
+  /// The f32 walk + error reduction over lanes [lo, hi).
+  void walkF32(const Chain& chain, const linalg::VecX& theta,
+               const linalg::VecX& dtheta, const double* alpha,
+               const linalg::Vec3& target, bool clamp_to_limits,
+               std::size_t lo, std::size_t hi);
   void noteSlice(std::size_t lanes);
 
   Precision precision_;
@@ -153,7 +168,7 @@ class BatchedForward {
   /// thread-pool split (concurrent evaluateLanes over disjoint ranges)
   /// can update it race-free.
   mutable std::atomic<std::size_t> max_walk_slice_lanes_{0};
-  linalg::Mat34Batch acc_;     ///< f64 accumulator lanes
+  std::vector<double> pos_;    ///< f64 x, y, z position rows (3 x stride)
   linalg::Mat34BatchF acc_f_;  ///< f32 accumulator lanes
   std::vector<double> cand_;   ///< dof x stride candidate matrix (SoA)
   std::vector<double> ct_, st_;  ///< per-lane cos/sin scratch (f64)

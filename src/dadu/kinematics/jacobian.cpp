@@ -57,7 +57,9 @@ linalg::MatX finiteDifferenceJacobian(const Chain& chain,
 long long jacobianFlops(std::size_t dof) {
   // Per joint: DH transform (~26), 4x4 multiply (112), cross product
   // (9), J_i J_i^T E accumulation (~18) — the four pipeline stages of
-  // the paper's Fig. 3.
+  // the paper's Fig. 3.  The dense 112 stays although linkFrames now
+  // composes in 57: this count parameterises the paper's Atom/TX1
+  // platform models (Tables 2 and 3).
   constexpr long long kPerJoint = 26 + 112 + 9 + 18;
   return static_cast<long long>(dof) * kPerJoint;
 }

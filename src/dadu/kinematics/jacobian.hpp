@@ -40,7 +40,9 @@ linalg::MatX finiteDifferenceJacobian(const Chain& chain,
 
 /// Multiply-add count of one analytic Jacobian evaluation (the SPU's
 /// per-iteration serial work): N DH transforms + N 4x4 multiplies + N
-/// cross products + the JJ^T E accumulation.
+/// cross products + the JJ^T E accumulation.  Dense 4x4 products by
+/// design: it parameterises the paper's platform models (Tables 2 and
+/// 3), not this library's structured compose.
 long long jacobianFlops(std::size_t dof);
 
 }  // namespace dadu::kin

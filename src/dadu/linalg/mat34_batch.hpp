@@ -1,11 +1,14 @@
-// Structure-of-arrays batch of 3x4 affine transforms.
+// Structure-of-arrays batch of 3x4 affine transforms, in float: the
+// accumulator of the FP32-FKU model (kin::BatchedForward's kF32 walk).
 //
-// Quick-IK's speculation sweep advances K end-effector transforms in
-// lock-step down the chain — one per candidate step size.  Only the
-// position column is ever consumed, so the last row of each 4x4
+// The f32 speculation sweep advances K end-effector transforms in
+// lock-step down the chain — one per candidate step size — reproducing
+// endEffectorPositionF32 term for term.  The last row of each 4x4
 // ([0 0 0 1] for every rigid transform) need not be stored or
-// computed: a 3x4 affine accumulator does the same job with ~25% fewer
-// multiply-adds per joint (36+27 vs 64+48).
+// computed, so a 3x4 affine accumulator does the same job with ~25%
+// fewer multiply-adds per joint (36+27 vs 64+48).  The f64 walk needs
+// no transforms at all: it carries three position rows from the tip to
+// the base (see kinematics/backends/walk_ref.hpp).
 //
 // Layout: 12 rows (the 3x4 entries in row-major order), each a
 // contiguous array of K lanes — the batch index is innermost.  The
@@ -14,13 +17,10 @@
 // mirror of the paper's FKU array, where K speculative FK chains
 // advance one joint per wave in parallel silicon lanes.
 //
-// For the explicit-SIMD speculation backends the storage is 64-byte
-// aligned and the lane stride can be padded to a backend's preferred
-// lane multiple (resize(lanes, lane_multiple)), so every row starts a
-// whole cache line / vector register.  Padding lanes are never
-// initialised or read — they exist purely so row starts align;
-// kernels use unaligned loads and ragged tails, so correctness never
-// depends on either.
+// The storage is 64-byte aligned and the lane stride can be padded to
+// a preferred lane multiple (resize(lanes, lane_multiple)), so every
+// row starts a whole cache line.  Padding lanes are never initialised
+// or read.
 #pragma once
 
 #include <cstddef>
@@ -59,12 +59,10 @@ struct LaneAllocator {
 
 }  // namespace detail
 
-/// SoA batch of 3x4 affine transforms over scalar type T (double for
-/// the reference datapath, float for the FP32-FKU model).
-template <typename T>
-class Mat34BatchT {
+/// SoA batch of 3x4 affine transforms in float.
+class Mat34BatchF {
  public:
-  Mat34BatchT() = default;
+  Mat34BatchF() = default;
 
   std::size_t lanes() const { return lanes_; }
   /// Lane stride of each row: lanes() rounded up to the padding
@@ -73,34 +71,31 @@ class Mat34BatchT {
   std::size_t stride() const { return stride_; }
 
   /// Size to `lanes` transforms, padding each row's stride up to a
-  /// multiple of `lane_multiple` (a speculation backend's preferred
-  /// vector width) so row starts stay 64-byte aligned.  Entries are
-  /// left uninitialised; call setLanes() before use.  No reallocation
-  /// once `reserve`d at the padded size.
+  /// multiple of `lane_multiple` so row starts stay 64-byte aligned.
+  /// Entries are left uninitialised; call setLanes() before use.
   void resize(std::size_t lanes, std::size_t lane_multiple = 1) {
     lanes_ = lanes;
     if (lane_multiple < 1) lane_multiple = 1;
     stride_ = ((lanes + lane_multiple - 1) / lane_multiple) * lane_multiple;
     data_.resize(12 * stride_);
   }
-  void reserve(std::size_t lanes) { data_.reserve(12 * lanes); }
 
   /// Lane array of entry (r, c), r in [0,3), c in [0,4).
-  T* row(std::size_t r, std::size_t c) {
+  float* row(std::size_t r, std::size_t c) {
     return data_.data() + (r * 4 + c) * stride_;
   }
-  const T* row(std::size_t r, std::size_t c) const {
+  const float* row(std::size_t r, std::size_t c) const {
     return data_.data() + (r * 4 + c) * stride_;
   }
 
   /// Broadcast the affine part of `t` into lanes [lane_begin,
-  /// lane_end) — how each worker seeds its lane chunk with the chain
-  /// base before walking the joints.
+  /// lane_end) — how each walk seeds its lanes with the chain base
+  /// before walking the joints.
   void setLanes(const Mat4& t, std::size_t lane_begin, std::size_t lane_end) {
     for (std::size_t r = 0; r < 3; ++r)
       for (std::size_t c = 0; c < 4; ++c) {
-        T* lane = row(r, c);
-        const T v = static_cast<T>(t(r, c));
+        float* lane = row(r, c);
+        const float v = static_cast<float>(t(r, c));
         for (std::size_t k = lane_begin; k < lane_end; ++k) lane[k] = v;
       }
   }
@@ -112,23 +107,10 @@ class Mat34BatchT {
             static_cast<double>(row(2, 3)[k])};
   }
 
-  /// Full transform of lane k widened to a Mat4 (last row [0 0 0 1]);
-  /// diagnostic / test accessor, not on the hot path.
-  Mat4 lane(std::size_t k) const {
-    Mat4 t = Mat4::identity();
-    for (std::size_t r = 0; r < 3; ++r)
-      for (std::size_t c = 0; c < 4; ++c)
-        t(r, c) = static_cast<double>(row(r, c)[k]);
-    return t;
-  }
-
  private:
   std::size_t lanes_ = 0;
   std::size_t stride_ = 0;
-  std::vector<T, detail::LaneAllocator<T>> data_;
+  std::vector<float, detail::LaneAllocator<float>> data_;
 };
-
-using Mat34Batch = Mat34BatchT<double>;
-using Mat34BatchF = Mat34BatchT<float>;
 
 }  // namespace dadu::linalg

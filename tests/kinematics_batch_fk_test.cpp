@@ -1,6 +1,6 @@
 // Batched speculative FK kernel tests: lane-for-lane agreement with the
 // scalar per-candidate path (f64 and f32, revolute and prismatic,
-// clamped and free), independence from the lane-chunk split, solver
+// identity and offset bases, clamped and free), independence from the lane-chunk split, solver
 // equivalence after the rewire, and an allocation audit of the solver
 // hot loop using a counting global operator new.
 #include <gtest/gtest.h>
@@ -95,6 +95,18 @@ kin::Chain makeMixedChain(std::size_t dof) {
   return kin::Chain(std::move(joints), "mixed");
 }
 
+// The same joints behind a rotated and translated base.  The f64 walk
+// applies the base in its own final step, so every parity check runs
+// against a non-identity base too.
+kin::Chain withOffsetBase(const kin::Chain& chain) {
+  linalg::Mat4 base =
+      linalg::Mat4::rotationZ(0.7) * linalg::Mat4::rotationY(-0.4);
+  base(0, 3) = 0.3;
+  base(1, 3) = -0.25;
+  base(2, 3) = 0.15;
+  return kin::Chain(chain.joints(), chain.name() + "+base", base);
+}
+
 // Deterministic pseudo-random joint/dir vectors for kernel inputs.
 linalg::VecX patternVec(std::size_t n, double scale, double phase) {
   linalg::VecX v(n);
@@ -105,47 +117,53 @@ linalg::VecX patternVec(std::size_t n, double scale, double phase) {
 
 TEST(BatchedForwardKinematics, MatchesScalarAcrossPresetsAndBatchSizes) {
   for (std::size_t dof : {12u, 25u, 50u, 75u, 100u}) {
-    const auto chain = kin::makeSerpentine(dof);
+    const auto serpentine = kin::makeSerpentine(dof);
     const linalg::VecX theta = patternVec(dof, 0.4, 0.3);
     const linalg::VecX dtheta = patternVec(dof, 1.1, 1.9);
     const linalg::Vec3 target{0.3, -0.2, 0.5};
-    for (int k_count : {1, 3, 16, 64}) {
-      const auto alphas = alphaLadder(k_count, 0.37);
-      const auto ref =
-          scalarSweep(chain, theta, dtheta, alphas, target, false);
+    for (const kin::Chain& chain : {serpentine, withOffsetBase(serpentine)}) {
+      for (int k_count : {1, 3, 16, 64}) {
+        const auto alphas = alphaLadder(k_count, 0.37);
+        const auto ref =
+            scalarSweep(chain, theta, dtheta, alphas, target, false);
 
-      BatchedForward batch;
-      batch.reset(chain, alphas.size());
-      batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false,
-                          0, alphas.size());
-      for (std::size_t k = 0; k < alphas.size(); ++k) {
-        EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12)
-            << dof << "-DOF K=" << k_count << " lane " << k;
-        EXPECT_NEAR(batch.errors()[k], ref.error_k[k], 1e-12);
-        linalg::VecX cand;
-        batch.candidateInto(k, cand);
-        EXPECT_LT((cand - ref.theta_k[k]).norm(), 1e-15);
+        BatchedForward batch;
+        batch.reset(chain, alphas.size());
+        batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target,
+                            false, 0, alphas.size());
+        for (std::size_t k = 0; k < alphas.size(); ++k) {
+          EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12)
+              << chain.name() << " " << dof << "-DOF K=" << k_count
+              << " lane " << k;
+          EXPECT_NEAR(batch.errors()[k], ref.error_k[k], 1e-12);
+          linalg::VecX cand;
+          batch.candidateInto(k, cand);
+          EXPECT_LT((cand - ref.theta_k[k]).norm(), 1e-15);
+        }
       }
     }
   }
 }
 
 TEST(BatchedForwardKinematics, MatchesScalarOnPrismaticJoints) {
-  const auto chain = makeMixedChain(30);
+  const auto mixed = makeMixedChain(30);
   const linalg::VecX theta = patternVec(30, 0.3, 0.1);
   const linalg::VecX dtheta = patternVec(30, 0.9, 2.3);
   const linalg::Vec3 target{0.4, 0.1, -0.3};
-  for (bool clamp : {false, true}) {
-    const auto alphas = alphaLadder(16, 0.8);
-    const auto ref = scalarSweep(chain, theta, dtheta, alphas, target, clamp);
-    BatchedForward batch;
-    batch.reset(chain, alphas.size());
-    batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target, clamp, 0,
-                        alphas.size());
-    for (std::size_t k = 0; k < alphas.size(); ++k) {
-      EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12)
-          << "clamp=" << clamp << " lane " << k;
-      EXPECT_NEAR(batch.errors()[k], ref.error_k[k], 1e-12);
+  for (const kin::Chain& chain : {mixed, withOffsetBase(mixed)}) {
+    for (bool clamp : {false, true}) {
+      const auto alphas = alphaLadder(16, 0.8);
+      const auto ref =
+          scalarSweep(chain, theta, dtheta, alphas, target, clamp);
+      BatchedForward batch;
+      batch.reset(chain, alphas.size());
+      batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target, clamp,
+                          0, alphas.size());
+      for (std::size_t k = 0; k < alphas.size(); ++k) {
+        EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12)
+            << chain.name() << " clamp=" << clamp << " lane " << k;
+        EXPECT_NEAR(batch.errors()[k], ref.error_k[k], 1e-12);
+      }
     }
   }
 }

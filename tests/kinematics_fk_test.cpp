@@ -1,11 +1,14 @@
 // Forward kinematics tests: analytic planar ground truth, frame
-// consistency, long-chain numerical health, and the FK flop model.
+// consistency, long-chain numerical health, exactness of the structured
+// head compose against the dense 4x4 product, and the FK flop model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
+#include "dadu/kinematics/dh.hpp"
 #include "dadu/kinematics/forward.hpp"
+#include "dadu/kinematics/jacobian.hpp"
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/linalg/rotation.hpp"
 #include "dadu/workload/rng.hpp"
@@ -138,6 +141,116 @@ TEST(ForwardKinematics, ScratchReuseGivesSameResult) {
   const linalg::Vec3 first = frames.back().position();
   linkFrames(chain, q, frames);  // reuse
   EXPECT_EQ(frames.back().position(), first);
+}
+
+// The dense reference for linkFrames: every link frame as the full 4x4
+// product t * dhTransform(...), the DH matrix's 0 and 1 entries
+// included, with libm trig of the joint angle and the link twist.
+std::vector<linalg::Mat4> denseLinkFrames(const Chain& chain,
+                                          const linalg::VecX& q) {
+  std::vector<linalg::Mat4> frames;
+  linalg::Mat4 t = chain.base();
+  for (std::size_t i = 0; i < chain.dof(); ++i) {
+    const Joint& joint = chain.joint(i);
+    const DhParam& p = joint.dh;
+    const bool revolute = joint.type == JointType::kRevolute;
+    const double angle = revolute ? p.theta + q[i] : p.theta;
+    const double d = revolute ? p.d : p.d + q[i];
+    t = t * dhTransform(p, std::cos(angle), std::sin(angle),
+                        std::cos(p.alpha), std::sin(p.alpha), d);
+    frames.push_back(t);
+  }
+  return frames;
+}
+
+// The position Jacobian of jacobian.cpp, built on the dense frames.
+linalg::MatX denseJacobian(const Chain& chain,
+                           const std::vector<linalg::Mat4>& frames) {
+  linalg::MatX j(3, chain.dof());
+  const linalg::Vec3 ee = frames.back().position();
+  for (std::size_t i = 0; i < chain.dof(); ++i) {
+    const linalg::Mat4& prev = i == 0 ? chain.base() : frames[i - 1];
+    const linalg::Vec3 z = prev.rotation().col(2);
+    if (chain.joint(i).type == JointType::kRevolute)
+      j.setCol3(i, z.cross(ee - prev.position()));
+    else
+      j.setCol3(i, z);
+  }
+  return j;
+}
+
+// Every third joint telescopes, so both DH compose branches run.
+Chain makeMixedChain(std::size_t dof) {
+  std::vector<Joint> joints;
+  for (std::size_t i = 0; i < dof; ++i) {
+    DhParam dh;
+    dh.a = 0.08;
+    dh.alpha = (i % 2 == 0) ? kPi / 2 : -kPi / 2;
+    if (i % 3 == 2) {
+      dh.theta = 0.2;
+      joints.push_back(prismatic(dh, 0.0, 0.15));
+    } else {
+      joints.push_back(revolute(dh));
+    }
+  }
+  return Chain(std::move(joints), "mixed");
+}
+
+Chain withOffsetBase(const Chain& chain) {
+  linalg::Mat4 base =
+      linalg::Mat4::rotationZ(0.7) * linalg::Mat4::rotationY(-0.4);
+  base(0, 3) = 0.3;
+  base(1, 3) = -0.25;
+  base(2, 3) = 0.15;
+  return Chain(chain.joints(), chain.name() + "+base", base);
+}
+
+// linkFrames, forwardKinematics and positionJacobian compose each link
+// against the DH structure instead of the dense 4x4 product.  That
+// skips only products with exact 0 and 1 entries, so every entry must
+// equal the dense product's under == (+0 and -0 compare equal).
+TEST(ForwardKinematics, StructuredComposeMatchesDenseProduct) {
+  std::vector<Chain> chains;
+  for (std::size_t dof : {7u, 12u, 25u, 50u, 100u})
+    chains.push_back(makeSerpentine(dof));
+  chains.push_back(makeMixedChain(30));
+  chains.push_back(withOffsetBase(makeSerpentine(25)));
+  chains.push_back(withOffsetBase(makeMixedChain(30)));
+
+  workload::Rng rng(17);
+  for (const Chain& chain : chains) {
+    for (int sample = 0; sample < 5; ++sample) {
+      linalg::VecX q(chain.dof());
+      for (std::size_t i = 0; i < q.size(); ++i)
+        q[i] = chain.joint(i).type == JointType::kRevolute
+                   ? rng.angle()
+                   : rng.uniform(chain.joint(i).min, chain.joint(i).max);
+      const auto want = denseLinkFrames(chain, q);
+      const auto got = linkFrames(chain, q);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        for (std::size_t r = 0; r < 4; ++r)
+          for (std::size_t c = 0; c < 4; ++c)
+            ASSERT_EQ(got[i](r, c), want[i](r, c))
+                << chain.name() << " sample " << sample << " frame " << i
+                << " entry (" << r << ", " << c << ")";
+
+      const linalg::Mat4 fk = forwardKinematics(chain, q);
+      for (std::size_t r = 0; r < 4; ++r)
+        for (std::size_t c = 0; c < 4; ++c)
+          ASSERT_EQ(fk(r, c), want.back()(r, c))
+              << chain.name() << " forwardKinematics entry (" << r << ", "
+              << c << ")";
+
+      const linalg::MatX jac = positionJacobian(chain, q);
+      const linalg::MatX jac_want = denseJacobian(chain, want);
+      for (std::size_t r = 0; r < 3; ++r)
+        for (std::size_t c = 0; c < chain.dof(); ++c)
+          ASSERT_EQ(jac(r, c), jac_want(r, c))
+              << chain.name() << " Jacobian entry (" << r << ", " << c
+              << ")";
+    }
+  }
 }
 
 TEST(FkFlops, MonotoneInDof) {

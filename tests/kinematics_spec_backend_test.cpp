@@ -1,7 +1,7 @@
 // Speculation-backend tests: registry/dispatch sanity, bit-exact
 // parity of every carried wide backend (AVX2, AVX-512) against the
 // scalar reference across DOF x K grids — revolute and prismatic
-// chains, clamped and free, ragged lane ranges, hostile lanes that take
+// chains, identity and offset bases, clamped and free, ragged lane ranges, hostile lanes that take
 // the walk's libm trig fallback, grouped sweeps — the
 // walk-slicing cache seam, and solver-level identity at K > the fused
 // budget.
@@ -51,6 +51,17 @@ kin::Chain makeMixedChain(std::size_t dof) {
     }
   }
   return kin::Chain(std::move(joints), "mixed");
+}
+
+// The same joints behind a rotated and translated base (the walk
+// applies the base in its own final step).
+kin::Chain withOffsetBase(const kin::Chain& chain) {
+  linalg::Mat4 base =
+      linalg::Mat4::rotationZ(0.7) * linalg::Mat4::rotationY(-0.4);
+  base(0, 3) = 0.3;
+  base(1, 3) = -0.25;
+  base(2, 3) = 0.15;
+  return kin::Chain(chain.joints(), chain.name() + "+base", base);
 }
 
 linalg::VecX patternVec(std::size_t n, double scale, double phase) {
@@ -122,14 +133,16 @@ TEST(SpecBackendRegistry, OverrideRoundTrips) {
 // Every runnable wide backend must reproduce the scalar backend's
 // candidates, positions and errors bit-for-bit (max_ulp_error == 0)
 // across the DOF x K grid, on revolute-only and mixed prismatic
-// chains, clamped and free.
+// chains, with identity and offset bases, clamped and free.
 TEST(SpecBackendParity, BitExactAcrossDofKGrid) {
   const auto backends = runnableBackends();
   for (const std::size_t dof : {7u, 30u, 100u}) {
     for (const int k_count : {8, 64, 256, 512}) {
-      for (const bool mixed : {false, true}) {
-        const kin::Chain chain =
-            mixed ? makeMixedChain(dof) : kin::makeSerpentine(dof);
+      const kin::Chain serpentine = kin::makeSerpentine(dof);
+      const kin::Chain mixed = makeMixedChain(dof);
+      for (const kin::Chain& chain :
+           {serpentine, mixed, withOffsetBase(serpentine),
+            withOffsetBase(mixed)}) {
         const linalg::VecX theta = patternVec(dof, 0.4, 0.3);
         const linalg::VecX dtheta = patternVec(dof, 1.1, 1.9);
         const linalg::Vec3 target{0.3, -0.2, 0.5};
@@ -153,8 +166,8 @@ TEST(SpecBackendParity, BitExactAcrossDofKGrid) {
               const linalg::Vec3 pr = ref.position(k);
               const linalg::Vec3 pw = wide.position(k);
               EXPECT_LE(ulpDiff(pr.x, pw.x), static_cast<std::int64_t>(max_ulp))
-                  << backend->name() << " dof=" << dof << " K=" << k_count
-                  << " mixed=" << mixed << " clamp=" << clamp << " lane " << k;
+                  << backend->name() << " " << chain.name() << " dof=" << dof
+                  << " K=" << k_count << " clamp=" << clamp << " lane " << k;
               EXPECT_LE(ulpDiff(pr.y, pw.y), static_cast<std::int64_t>(max_ulp));
               EXPECT_LE(ulpDiff(pr.z, pw.z), static_cast<std::int64_t>(max_ulp));
               EXPECT_LE(ulpDiff(ref.errors()[k], wide.errors()[k]),
