@@ -35,9 +35,9 @@ BatchRunReport solveBatchParallel(const SolverFactory& factory,
     config.queue_capacity = std::max<std::size_t>(tasks.size(), 1);
     config.enable_seed_cache = false;
     // Batched dispatch with no coalescing wait: the whole batch is
-    // enqueued up front, so workers drain real bursts immediately and
-    // fused solvers amortize the speculation kernel across them.
-    // Results stay bit-identical to per-request dispatch.
+    // enqueued up front, so workers drain real bursts immediately (one
+    // queue pop per burst).  Results stay bit-identical to
+    // per-request dispatch.
     config.max_batch = 16;
     config.batch_wait_us = 0;
     service::IkService svc(factory, config);

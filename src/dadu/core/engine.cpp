@@ -53,9 +53,8 @@ ik::SolveResult IkEngine::solve(const linalg::Vec3& target,
 
 std::vector<ik::SolveResult> IkEngine::solveBatch(
     const std::vector<linalg::Vec3>& targets, const linalg::VecX& seed) {
-  // Route through solveMany so fused backends (Quick-IK's grouped SoA
-  // sweep) amortize the chain walk across targets; per-target results
-  // are bit-identical to sequential solve() calls either way.
+  // Route through solveMany: per-target solve() calls with exceptions
+  // captured per lane, rethrown here in target order.
   std::vector<ik::BatchLane> lanes;
   lanes.reserve(targets.size());
   for (const linalg::Vec3& t : targets) lanes.push_back({t, &seed, {}});

@@ -69,14 +69,7 @@ class Avx512SpecBackend final : public SpecBackend {
  public:
   const char* name() const override { return "avx512"; }
 
-  SpecBackendCaps caps() const override {
-    SpecBackendCaps caps;
-    caps.lane_multiple = V8::width;
-    caps.max_fused_lanes = 256;
-    caps.alignment = 64;
-    caps.max_ulp_error = 0;  // scalar op order, no FMA: bit-identical
-    return caps;
-  }
+  std::size_t laneMultiple() const override { return V8::width; }
 
   void walkLanes(const Chain& chain, const SpecLaneBlock& ws,
                  const linalg::VecX& theta, const linalg::VecX& dtheta,

@@ -17,16 +17,7 @@ class ScalarSpecBackend final : public SpecBackend {
  public:
   const char* name() const override { return "scalar"; }
 
-  SpecBackendCaps caps() const override {
-    SpecBackendCaps caps;
-    caps.lane_multiple = 1;
-    // The fused sweep measured fastest around 256 total SoA lanes on
-    // one core (~20% slower by 1024, purely cache pressure).
-    caps.max_fused_lanes = 256;
-    caps.alignment = alignof(double);
-    caps.max_ulp_error = 0;  // it *is* the reference
-    return caps;
-  }
+  std::size_t laneMultiple() const override { return 1; }
 
   void walkLanes(const Chain& chain, const SpecLaneBlock& ws,
                  const linalg::VecX& theta, const linalg::VecX& dtheta,

@@ -9,19 +9,15 @@
 // today: the scalar/autovec reference walk, an AVX2 kernel (4 f64
 // lanes per vector) and an AVX-512 kernel (8 lanes).  The seam is
 // deliberately wide enough for a GPU or IKAcc-model implementation to
-// slot in later: a backend advertises its capabilities (preferred lane
-// multiple, fused-lane budget, alignment, parity bound) and the caller
-// shapes batches to fit, never the other way round.
+// slot in later: a backend advertises its preferred lane multiple and
+// BatchedForward pads its workspace to fit.
 //
 // Parity contract: a backend's results must match the scalar reference
-// within caps().max_ulp_error ULPs per double.  The current wide
-// kernels replicate the scalar operation order exactly — the walk's own
-// mul/add-only sin/cos (specSinCos below; libm only for out-of-range
-// lanes, in one shared fix-up pass), mul/add without FMA contraction,
-// IEEE vector sqrt — so their documented bound is 0: bit-identical.  A
-// future backend that fuses multiplies or uses another trig may
-// advertise a nonzero bound; the parity suite reads the bound off the
-// caps and enforces it at every tested DOF x K point.
+// bit for bit.  The wide kernels replicate the scalar operation order
+// exactly — the walk's own mul/add-only sin/cos (specSinCos below;
+// libm only for out-of-range lanes, in one shared fix-up pass),
+// mul/add without FMA contraction, IEEE vector sqrt — and the parity
+// suite compares every tested DOF x K point bit for bit.
 //
 // Dispatch: dispatchedSpecBackend() picks the widest backend the CPU
 // supports (CPUID, checked once), overridable with the
@@ -42,29 +38,6 @@
 #include "dadu/linalg/vecx.hpp"
 
 namespace dadu::kin {
-
-/// What a backend wants from its callers.  BatchedForward pads lane
-/// strides and sizes fused batches from these numbers, so a new
-/// backend tunes the whole stack (solver chunking included) without
-/// touching solver code.
-struct SpecBackendCaps {
-  /// Preferred lane-count multiple (the vector width in f64 lanes).
-  /// Workspaces pad their lane stride to this so every row starts a
-  /// whole vector; lane *ranges* need not be multiples — kernels
-  /// handle ragged tails internally.
-  std::size_t lane_multiple = 1;
-  /// Cache-residency budget: the largest contiguous lane range worth
-  /// walking in one slice.  BatchedForward splits larger ranges into
-  /// slices of at most this many lanes (each slice's accumulator
-  /// stays L1-resident across the whole chain walk).
-  std::size_t max_fused_lanes = 256;
-  /// Preferred byte alignment of lane-row base pointers.  Advisory:
-  /// kernels use unaligned loads, so correctness never depends on it.
-  std::size_t alignment = alignof(double);
-  /// Documented parity bound vs the scalar reference, in ULPs per
-  /// produced double (0 = bit-identical).
-  unsigned max_ulp_error = 0;
-};
 
 /// Borrowed view of BatchedForward's f64 workspace for one sweep.
 /// All arrays use the same padded lane stride; a kernel may only read
@@ -89,7 +62,11 @@ class SpecBackend {
   virtual ~SpecBackend() = default;
 
   virtual const char* name() const = 0;
-  virtual SpecBackendCaps caps() const = 0;
+  /// Preferred lane-count multiple (the vector width in f64 lanes).
+  /// BatchedForward pads its lane stride to this so every row starts a
+  /// whole vector; lane *ranges* need not be multiples — kernels
+  /// handle ragged tails internally.
+  virtual std::size_t laneMultiple() const = 0;
 
   /// Candidate formation + batched chain walk over lanes [lo, hi):
   /// cand[i][k] = theta[i] + alpha[k] * dtheta[i] (clamped to joint

@@ -15,8 +15,8 @@
 // sinCosFast() from walk_ref.hpp written over V ops (sinCosLanesWide),
 // lanes outside its range take the same libm fix-up pass as the
 // reference, and vector sqrt is correctly rounded — so the wide
-// backends are bit-identical to the scalar walk, which is the
-// max_ulp_error = 0 parity bound their caps advertise.
+// backends are bit-identical to the scalar walk, as the parity
+// contract in spec_backend.hpp requires.
 //
 // Lane ranges need not be multiples of V::width: the vectorized middle
 // covers [lo, lo + floor((hi-lo)/width)*width) and the ragged tail

@@ -14,13 +14,12 @@ BatchedForward::BatchedForward(Precision precision, const SpecBackend* backend)
       backend_(backend != nullptr ? backend : &dispatchedSpecBackend()) {}
 
 void BatchedForward::reset(const Chain& chain, std::size_t lanes) {
-  const SpecBackendCaps caps = backend_->caps();
   dof_ = chain.dof();
   lanes_ = lanes;
   // Pad the lane stride to the backend's vector width so every row of
   // every SoA array starts a whole register (the storage itself is
   // 64-byte aligned).  Padding lanes are never computed or read.
-  const std::size_t mult = std::max<std::size_t>(caps.lane_multiple, 1);
+  const std::size_t mult = std::max<std::size_t>(backend_->laneMultiple(), 1);
   stride_ = ((lanes + mult - 1) / mult) * mult;
   max_walk_slice_lanes_.store(0, std::memory_order_relaxed);
   cand_.resize(dof_ * stride_);
@@ -56,13 +55,12 @@ void BatchedForward::noteSlice(std::size_t lanes) {
   }
 }
 
-void BatchedForward::slicedWalkF64(const Chain& chain,
-                                   const linalg::VecX& theta,
-                                   const linalg::VecX& dtheta,
-                                   const double* alpha,
-                                   const linalg::Vec3& target,
-                                   bool clamp_to_limits, std::size_t lo,
-                                   std::size_t hi) {
+void BatchedForward::slicedWalk(const Chain& chain, const linalg::VecX& theta,
+                                const linalg::VecX& dtheta,
+                                const double* alpha,
+                                const linalg::Vec3& target,
+                                bool clamp_to_limits, std::size_t lo,
+                                std::size_t hi) {
   SpecLaneBlock block;
   block.pos = pos_.data();
   block.cand = cand_.data();
@@ -72,31 +70,23 @@ void BatchedForward::slicedWalkF64(const Chain& chain,
   block.errors = errors_.data();
   block.stride = stride_;
 
-  // Slice to the backend's cache-residency budget: each slice's
-  // position lanes stay L1-resident across its whole chain walk.
   // Lanes are independent, so any split produces identical results.
-  const std::size_t budget =
-      std::max<std::size_t>(backend_->caps().max_fused_lanes, 1);
-  for (std::size_t s = lo; s < hi; s += budget) {
-    const std::size_t e = std::min(hi, s + budget);
+  for (std::size_t s = lo; s < hi; s += kMaxWalkSliceLanes) {
+    const std::size_t e = std::min(hi, s + kMaxWalkSliceLanes);
     noteSlice(e - s);
-    backend_->walkLanes(chain, block, theta, dtheta, alpha, clamp_to_limits,
-                        s, e);
-    backend_->reduceErrors(block, target, s, e);
+    if (precision_ == Precision::kF64) {
+      backend_->walkLanes(chain, block, theta, dtheta, alpha,
+                          clamp_to_limits, s, e);
+      backend_->reduceErrors(block, target, s, e);
+    } else {
+      detail::walkLanesF32(chain, acc_f_, ctf_.data(), stf_.data(),
+                           cand_.data(), stride_, trig_f_.data(), theta,
+                           dtheta, alpha, clamp_to_limits, s, e);
+      detail::reduceErrors<float>(acc_f_.row(0, 3), acc_f_.row(1, 3),
+                                  acc_f_.row(2, 3), errors_.data(), target,
+                                  s, e);
+    }
   }
-}
-
-void BatchedForward::walkF32(const Chain& chain, const linalg::VecX& theta,
-                             const linalg::VecX& dtheta, const double* alpha,
-                             const linalg::Vec3& target, bool clamp_to_limits,
-                             std::size_t lo, std::size_t hi) {
-  noteSlice(hi - lo);
-  detail::walkLanesF32(chain, acc_f_, ctf_.data(), stf_.data(), cand_.data(),
-                       stride_, trig_f_.data(), theta, dtheta, alpha,
-                       clamp_to_limits, lo, hi);
-  detail::reduceErrors<float>(acc_f_.row(0, 3), acc_f_.row(1, 3),
-                              acc_f_.row(2, 3), errors_.data(), target, lo,
-                              hi);
 }
 
 void BatchedForward::evaluateLanes(const Chain& chain,
@@ -111,15 +101,8 @@ void BatchedForward::evaluateLanes(const Chain& chain,
   assert(lane_end <= lanes_ && lane_begin <= lane_end);
   chain.requireSize(theta);
   chain.requireSize(dtheta);
-  if (lane_begin >= lane_end) return;
-
-  if (precision_ == Precision::kF64) {
-    slicedWalkF64(chain, theta, dtheta, alpha, target, clamp_to_limits,
-                  lane_begin, lane_end);
-  } else {
-    walkF32(chain, theta, dtheta, alpha, target, clamp_to_limits,
-            lane_begin, lane_end);
-  }
+  slicedWalk(chain, theta, dtheta, alpha, target, clamp_to_limits,
+             lane_begin, lane_end);
 }
 
 void BatchedForward::evaluateGrouped(const Chain& chain,
@@ -127,31 +110,10 @@ void BatchedForward::evaluateGrouped(const Chain& chain,
                                      std::size_t group_count,
                                      const double* alpha,
                                      bool clamp_to_limits) {
-  assert(chain.dof() == dof_ && "call reset() for this chain first");
-  if (group_count == 0) return;
-  for (std::size_t g = 0; g < group_count; ++g) {
-    assert(groups[g].lane_end <= lanes_ &&
-           groups[g].lane_begin <= groups[g].lane_end);
-    chain.requireSize(*groups[g].theta);
-    chain.requireSize(*groups[g].dtheta);
-  }
-
-  // Group-major on purpose: each group's position slice stays
-  // L1-resident across its whole chain walk (a joint-major pass that
-  // re-streams every group's lanes per joint measured ~30% slower).
-  // Per lane this is exactly the single-target walk, so grouped
-  // results are bit-identical to per-group evaluateLanes calls.
-  for (std::size_t g = 0; g < group_count; ++g) {
-    const LaneGroup& grp = groups[g];
-    if (grp.lane_begin >= grp.lane_end) continue;
-    if (precision_ == Precision::kF64) {
-      slicedWalkF64(chain, *grp.theta, *grp.dtheta, alpha, grp.target,
-                    clamp_to_limits, grp.lane_begin, grp.lane_end);
-    } else {
-      walkF32(chain, *grp.theta, *grp.dtheta, alpha, grp.target,
-              clamp_to_limits, grp.lane_begin, grp.lane_end);
-    }
-  }
+  for (std::size_t g = 0; g < group_count; ++g)
+    evaluateLanes(chain, *groups[g].theta, *groups[g].dtheta, alpha,
+                  groups[g].target, clamp_to_limits, groups[g].lane_begin,
+                  groups[g].lane_end);
 }
 
 linalg::Vec3 BatchedForward::position(std::size_t k) const {

@@ -53,10 +53,10 @@ class SpecBackend;
 /// AVX2 / AVX-512 — see backends/spec_backend.hpp): the instance binds
 /// to the process-dispatched backend at construction, or to an
 /// explicit one passed in (parity tests, benches).  Walks longer than
-/// the backend's fused-lane budget are transparently sliced so every
-/// contiguous walk stays cache-resident; lanes are independent, so
-/// slicing never changes results.  The f32 datapath (the FP32-FKU
-/// model) always uses the scalar reference walk.
+/// kMaxWalkSliceLanes are transparently sliced so every contiguous
+/// walk stays cache-resident; lanes are independent, so slicing never
+/// changes results.  The f32 datapath (the FP32-FKU model) always uses
+/// the scalar reference walk.
 class BatchedForward {
  public:
   /// Arithmetic of the walk.  kF64 is the tip-to-base point walk with
@@ -65,6 +65,12 @@ class BatchedForward {
   /// kF32 reproduces endEffectorPositionF32() — every intermediate held
   /// in float (libm trig), candidates and errors still formed in double.
   enum class Precision { kF64, kF32 };
+
+  /// Cache-residency budget: the largest contiguous lane range walked
+  /// in one slice, for either precision.  Larger ranges are split into
+  /// slices of at most this many lanes, so each slice's position lanes
+  /// stay L1-resident across the whole chain walk.
+  static constexpr std::size_t kMaxWalkSliceLanes = 256;
 
   /// `backend` = nullptr binds the process-dispatched backend (CPUID +
   /// DADU_SPEC_BACKEND / --spec-backend override, resolved at
@@ -79,10 +85,10 @@ class BatchedForward {
   /// The speculation backend this instance is bound to.
   const SpecBackend& backend() const { return *backend_; }
 
-  /// High-water mark of lanes handed to a single contiguous backend
-  /// walk since the last reset() — the cache-residency seam: stays at
-  /// or below backend().caps().max_fused_lanes no matter how large a
-  /// lane range or group the caller passes.
+  /// High-water mark of lanes handed to a single contiguous walk
+  /// since the last reset() — the cache-residency seam: stays at
+  /// or below kMaxWalkSliceLanes no matter how large a lane range or
+  /// group the caller passes, in either precision.
   std::size_t maxWalkSliceLanes() const {
     return max_walk_slice_lanes_.load(std::memory_order_relaxed);
   }
@@ -108,7 +114,7 @@ class BatchedForward {
                      const linalg::Vec3& target, bool clamp_to_limits,
                      std::size_t lane_begin, std::size_t lane_end);
 
-  /// One request's slice of a fused multi-target sweep: lanes
+  /// One target's slice of a multi-target sweep: lanes
   /// [lane_begin, lane_end) form candidates theta + alpha[k] * dtheta
   /// and score them against `target`.  theta/dtheta are borrowed — the
   /// caller keeps them alive across evaluateGrouped.
@@ -120,17 +126,10 @@ class BatchedForward {
     std::size_t lane_end = 0;
   };
 
-  /// Fused multi-request sweep: evaluate every group's lanes through
-  /// one shared SoA workspace in a single call.  Per-joint constants
-  /// (link-twist trig, DH offsets) come from the chain's DH table, so
-  /// no group recomputes them; the walk itself is
-  /// group-major — each group's position slice stays L1-resident
-  /// across the whole chain walk, which measures faster than a
-  /// joint-major pass that streams every group's lanes through cache
-  /// at each joint.  Each lane's values depend only on its own group's
-  /// theta/dtheta/alpha slice, so results are bit-identical to calling
-  /// evaluateLanes once per group over the same lane ranges.  Groups
-  /// must occupy disjoint lane ranges within [0, lanes()).
+  /// One evaluateLanes call per group, in order, over that group's
+  /// lane range and target.  Kept for the benchmark's grouped-walk
+  /// probe; no solver calls it.  Groups must occupy disjoint lane
+  /// ranges within [0, lanes()).
   void evaluateGrouped(const Chain& chain, const LaneGroup* groups,
                        std::size_t group_count, const double* alpha,
                        bool clamp_to_limits);
@@ -147,16 +146,12 @@ class BatchedForward {
 
  private:
   /// Walk + error-reduce lanes [lo, hi) against `target` in slices of
-  /// at most the backend's fused-lane budget (f64 path only).
-  void slicedWalkF64(const Chain& chain, const linalg::VecX& theta,
-                     const linalg::VecX& dtheta, const double* alpha,
-                     const linalg::Vec3& target, bool clamp_to_limits,
-                     std::size_t lo, std::size_t hi);
-  /// The f32 walk + error reduction over lanes [lo, hi).
-  void walkF32(const Chain& chain, const linalg::VecX& theta,
-               const linalg::VecX& dtheta, const double* alpha,
-               const linalg::Vec3& target, bool clamp_to_limits,
-               std::size_t lo, std::size_t hi);
+  /// at most kMaxWalkSliceLanes, through the backend (kF64) or the f32
+  /// reference walk (kF32).
+  void slicedWalk(const Chain& chain, const linalg::VecX& theta,
+                  const linalg::VecX& dtheta, const double* alpha,
+                  const linalg::Vec3& target, bool clamp_to_limits,
+                  std::size_t lo, std::size_t hi);
   void noteSlice(std::size_t lanes);
 
   Precision precision_;

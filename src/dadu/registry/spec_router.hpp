@@ -13,7 +13,7 @@
 //                          spec A can never seed spec B because the
 //                          caches are physically separate;
 //   spec-pure batches      a worker's popMany burst drains one lane's
-//                          queue, so a fused solveMany always shares
+//                          queue, so a solveMany burst always shares
 //                          one chain, and a lane behaves exactly like
 //                          a single-robot deployment: same queue, same
 //                          cache, same batch coalescing, same solver.

@@ -366,10 +366,10 @@ void IkService::processBatch(ik::IkSolver& solver, BatchScratch& s) {
     }
   }
 
-  // Fused solve: every surviving lane goes through one solveMany call
-  // (one grouped speculation kernel inside), each with its own deadline
-  // arming the solver watchdog, so a runaway solve surfaces kTimedOut
-  // with its best-so-far iterate.  A burst of one falls back to solve().
+  // Solve: every surviving lane goes through one solveMany call, which
+  // runs one solve() per lane with that lane's deadline arming the
+  // solver watchdog, so a runaway solve surfaces kTimedOut with its
+  // best-so-far iterate.  Each lane's solve_ms is its own solve only.
   s.lanes.clear();
   s.lane_job.clear();
   for (std::size_t i = 0; i < m; ++i) {

@@ -87,13 +87,13 @@ struct ServiceConfig {
   /// See circuit_breaker.hpp for the state machine and thresholds.
   CircuitBreakerConfig breaker;
   /// Batch coalescer: each worker drains up to `max_batch` queued
-  /// requests in one BoundedQueue::popMany and runs them through the
-  /// solver's fused solveMany path (one grouped SoA speculation sweep
-  /// for the whole burst).  1 = bursts of one (solveMany with n = 1
-  /// falls back to solve()).  Per-request semantics are identical
-  /// either way — same Response statuses, per-lane deadlines and fault
-  /// points — batching only changes how work is amortized.  0 is
-  /// treated as 1.
+  /// requests in one BoundedQueue::popMany, looks their seeds up in
+  /// one SeedCache::lookupMany, and solves them with one
+  /// IkSolver::solveMany call (one solve() per lane).  1 = bursts of
+  /// one.  Per-request semantics are identical either way — same
+  /// Response statuses, per-lane deadlines and fault points — batching
+  /// only amortizes the queue pop, the cache lookup and the linger.  0
+  /// is treated as 1.
   std::size_t max_batch = 1;
   /// Nagle-style coalescing window in microseconds: an under-filled
   /// burst lingers up to this long for stragglers before solving.

@@ -22,8 +22,8 @@
 //   - setDeadline() is honoured: a modeled solve that would overrun
 //     its deadline stops *at* the deadline with Status::kTimedOut and
 //     pro-rata iterations — the cooperative watchdog, modeled;
-//   - solveMany() is inherited from the base sequential loop, so
-//     per-lane deadlines and per-lane error capture work unchanged.
+//   - solveMany() is IkSolver's per-lane loop over solve(), as for
+//     every solver, so per-lane deadlines and error capture match.
 //
 // Determinism: outcomes depend only on the config seed and the call
 // order, and the sim's call order is fixed by the SimExecutor seed.

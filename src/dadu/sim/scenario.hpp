@@ -46,7 +46,7 @@ struct ScenarioConfig {
 
   /// Robot specs hosted by the one simulated server.  Spec s gets a
   /// serpentine chain of dof + 2*s joints behind its own service lane
-  /// (registry::SpecRouter), so fused batches stay spec-pure by
+  /// (registry::SpecRouter), so bursts stay spec-pure by
   /// construction.  1 = a single-robot server (a one-spec router).
   std::size_t specs = 1;
   /// Fraction of requests stamped with an unregistered spec id.  The

@@ -32,10 +32,9 @@ struct BatchLane {
 /// Outcome of one solveMany() lane.
 struct BatchLaneResult {
   SolveResult result;
-  /// Wall time attributed to this lane in milliseconds.  The looping
-  /// fallback times each lane's own solve; a fused implementation
-  /// reports time from batch start to lane retirement (the latency the
-  /// lane's caller actually observed).
+  /// The lane's own solve time in milliseconds, read on the solver's
+  /// clock: from the start of this lane's solve() to its return.  Time
+  /// the lane spent waiting for earlier batchmates is not included.
   double solve_ms = 0.0;
   /// Set when the lane failed instead of producing a result (invalid
   /// inputs, injected fault).  Failures are per lane: batchmates still
@@ -53,17 +52,14 @@ class IkSolver {
   virtual SolveResult solve(const linalg::Vec3& target,
                             const linalg::VecX& seed) = 0;
 
-  /// Solve `n` independent lanes.  Per-lane semantics are identical to
-  /// calling setDeadline(lanes[i].deadline) + solve(...) per lane —
-  /// same statuses, same thetas bit-for-bit — but implementations may
-  /// fuse the lanes into shared batched kernels to amortize per-solve
-  /// overhead (QuickIkSolver runs all lanes' speculation sweeps through
-  /// one grouped SoA chain walk).  Exceptions are captured per lane
-  /// into BatchLaneResult::error, never thrown, so one bad request
-  /// cannot poison its batchmates.  The base implementation is the
-  /// sequential loop; it leaves the solver's watchdog deadline cleared.
-  virtual void solveMany(const BatchLane* lanes, BatchLaneResult* out,
-                         std::size_t n);
+  /// Solve `n` independent lanes, one after another: per lane,
+  /// setDeadline(lanes[i].deadline) + solve(...), so statuses and
+  /// thetas are bit-for-bit those of direct solve() calls.  Exceptions
+  /// are captured per lane into BatchLaneResult::error, never thrown,
+  /// so one bad request cannot poison its batchmates.  Leaves the
+  /// solver's watchdog deadline cleared.
+  void solveMany(const BatchLane* lanes, BatchLaneResult* out,
+                 std::size_t n);
 
   /// Stable identifier ("jt-serial", "quick-ik", ...) used by benches
   /// and reports.

@@ -1,7 +1,6 @@
 #include "dadu/solvers/quick_ik.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 #include <stdexcept>
 
@@ -97,7 +96,7 @@ SolveResult QuickIkSolver::solve(const linalg::Vec3& target,
       // Grain rounds up to the backend's lane multiple so worker
       // chunks land on vector-register boundaries.
       const std::size_t grain =
-          std::max(kLaneGrain, batch_.backend().caps().lane_multiple);
+          std::max(kLaneGrain, batch_.backend().laneMultiple());
       pool_->parallelForChunked(0, lanes, grain, pooled_sweep);
     } else {
       batch_.evaluateLanes(chain_, result.theta, ws_.dtheta_base,
@@ -144,195 +143,6 @@ SolveResult QuickIkSolver::solve(const linalg::Vec3& target,
   // never recorded (the loop head only logs pre-sweep errors).
   if (options_.record_history) result.error_history.push_back(result.error);
   return result;
-}
-
-void QuickIkSolver::solveMany(const BatchLane* lanes, BatchLaneResult* out,
-                              std::size_t n) {
-  // The fused path shares one serial chain walk across lanes; with
-  // pool execution each solve already fans out internally, so batching
-  // them serially would serialize the pool's parallelism.
-  if (execution_ != Execution::kSerial || n <= 1) {
-    IkSolver::solveMany(lanes, out, n);
-    return;
-  }
-
-  // Chunk the burst so one lockstep's working set (n*K candidate and
-  // accumulator lanes plus n Jacobian heads) stays cache-resident:
-  // with the paper-default 64 speculations the fused sweep measured
-  // fastest around 256 total SoA lanes (4 requests) and ~20% slower by
-  // 1024, purely from cache pressure.  Chunks also retire early
-  // requests sooner — the same completion order a per-request worker
-  // would produce.  The budget comes from the speculation backend's
-  // capabilities, not a local constant; when K alone exceeds it
-  // (chunk degenerates to one request per lockstep) the kernel's own
-  // walk slicing keeps each contiguous walk within the budget, so a
-  // K=512 burst no longer streams 512-lane walks through cache.
-  const std::size_t max_fused =
-      many_batch_.backend().caps().max_fused_lanes;
-  const auto K = static_cast<std::size_t>(options_.speculations);
-  const std::size_t chunk = std::max<std::size_t>(1, max_fused / K);
-  for (std::size_t base = 0; base < n; base += chunk)
-    solveManyFused(lanes + base, out + base, std::min(chunk, n - base));
-}
-
-void QuickIkSolver::solveManyFused(const BatchLane* lanes,
-                                   BatchLaneResult* out, std::size_t n) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point batch_start = clockNow();
-  const int max_spec = options_.speculations;
-  const auto K = static_cast<std::size_t>(max_spec);
-
-  many_batch_.reset(chain_, n * K);
-  if (many_alphas_.size() < n * K) many_alphas_.resize(n * K);
-  if (many_ws_.size() < n) many_ws_.resize(n);
-  if (many_head_error_.size() < n) many_head_error_.resize(n);
-  if (many_active_.size() < n) many_active_.resize(n);
-  many_groups_.reserve(n);
-  many_swept_.reserve(n);
-
-  const auto retire = [&](std::size_t g) {
-    many_active_[g] = 0;
-    out[g].solve_ms =
-        std::chrono::duration<double, std::milli>(clockNow() - batch_start)
-            .count();
-  };
-  const auto fail = [&](std::size_t g) {
-    out[g].error = std::current_exception();
-    retire(g);
-  };
-
-  // Per-lane setup: validate, seed, and (zero-budget case) report the
-  // seed's error honestly, exactly as the head of solve() does.
-  for (std::size_t g = 0; g < n; ++g) {
-    out[g] = BatchLaneResult{};
-    many_active_[g] = 0;
-    SolveResult& r = out[g].result;
-    try {
-      validateInputs(chain_, lanes[g].target, *lanes[g].seed);
-    } catch (...) {
-      fail(g);
-      continue;
-    }
-    r.theta = *lanes[g].seed;
-    if (options_.record_history)
-      r.error_history.reserve(
-          static_cast<std::size_t>(std::max(options_.max_iterations, 0)) + 1);
-    if (options_.max_iterations <= 0) {
-      try {
-        const JtIterationHead head =
-            jtIterationHead(chain_, r.theta, lanes[g].target, many_ws_[g]);
-        ++r.fk_evaluations;
-        r.error = head.error;
-        r.status = head.error < options_.accuracy ? Status::kConverged
-                                                  : Status::kMaxIterations;
-      } catch (...) {
-        fail(g);
-        continue;
-      }
-      retire(g);
-      continue;
-    }
-    many_active_[g] = 1;
-  }
-  if (options_.max_iterations <= 0) return;
-
-  // Lockstep iteration: phase 1 runs every live lane's serial head
-  // (Jacobian, dtheta_base, alpha_base — where the per-lane fault point
-  // and watchdog fire), phase 2 fuses all surviving lanes' speculative
-  // sweeps into one grouped chain walk, phase 3 does per-lane argmin
-  // selection and the monotone-descent guard.  A lane that converges,
-  // stalls, times out or throws retires immediately; the rest keep
-  // iterating.  Per lane the statement order matches solve() exactly.
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    many_groups_.clear();
-    many_swept_.clear();
-    for (std::size_t g = 0; g < n; ++g) {
-      if (!many_active_[g]) continue;
-      SolveResult& r = out[g].result;
-      JtIterationHead head;
-      try {
-        head = jtIterationHead(chain_, r.theta, lanes[g].target, many_ws_[g]);
-      } catch (...) {
-        fail(g);
-        continue;
-      }
-      ++r.fk_evaluations;
-      if (options_.record_history) r.error_history.push_back(head.error);
-      r.error = head.error;
-
-      if (head.error < options_.accuracy) {
-        r.status = Status::kConverged;
-        retire(g);
-        continue;
-      }
-      if (head.stalled) {
-        r.status = Status::kStalled;
-        retire(g);
-        continue;
-      }
-      if (lanes[g].deadline != Clock::time_point{} &&
-          clockNow() >= lanes[g].deadline) {
-        r.status = Status::kTimedOut;
-        retire(g);
-        continue;
-      }
-
-      many_head_error_[g] = head.error;
-      double* alpha = many_alphas_.data() + g * K;
-      for (std::size_t idx = 0; idx < K; ++idx)
-        alpha[idx] = (static_cast<double>(idx + 1) / max_spec) *
-                     head.alpha_base;  // Eq. 9
-      many_groups_.push_back({&r.theta, &many_ws_[g].dtheta_base,
-                              lanes[g].target, g * K, g * K + K});
-      many_swept_.push_back(g);
-    }
-    if (many_swept_.empty()) return;
-
-    // The fused sweep: one chain walk advances every lane of every
-    // surviving request.
-    many_batch_.evaluateGrouped(chain_, many_groups_.data(),
-                                many_groups_.size(), many_alphas_.data(),
-                                options_.clamp_to_limits);
-
-    const std::vector<double>& error_k = many_batch_.errors();
-    for (const std::size_t g : many_swept_) {
-      SolveResult& r = out[g].result;
-      r.fk_evaluations += max_spec;
-      r.speculation_load += max_spec;
-      ++r.iterations;
-
-      std::size_t best = g * K;
-      for (std::size_t idx = g * K + 1; idx < g * K + K; ++idx)
-        if (error_k[idx] < error_k[best]) best = idx;
-
-      if (!options_.clamp_to_limits &&
-          !(error_k[best] < many_head_error_[g])) {
-        r.status = Status::kStalled;
-        retire(g);
-        continue;
-      }
-
-      many_batch_.candidateInto(best, r.theta);
-      r.error = error_k[best];
-
-      if (error_k[best] < options_.accuracy) {
-        r.status = Status::kConverged;
-        if (options_.record_history) r.error_history.push_back(r.error);
-        retire(g);
-        continue;
-      }
-    }
-  }
-
-  // Budget exhausted for whoever is still live.
-  for (std::size_t g = 0; g < n; ++g) {
-    if (!many_active_[g]) continue;
-    SolveResult& r = out[g].result;
-    r.status = r.error < options_.accuracy ? Status::kConverged
-                                           : Status::kMaxIterations;
-    if (options_.record_history) r.error_history.push_back(r.error);
-    retire(g);
-  }
 }
 
 }  // namespace dadu::ik

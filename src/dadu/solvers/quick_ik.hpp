@@ -16,14 +16,19 @@
 // "Speculation strategy").
 //
 // The sweep itself runs through kin::BatchedForward: one chain walk
-// advances all Max candidate transforms in SoA lanes (the software
-// mirror of the paper's FKU array).  Execution is pluggable: inline
-// (the paper's "Atom" single-thread row) evaluates the whole batch in
-// one kernel call; the thread pool splits it into contiguous lane
-// chunks, one per worker.  Both produce bit-identical results —
-// selection is a deterministic argmin with smallest-k tie-break —
-// which is also what lets the IKAcc simulator's functional output be
-// validated against this class.
+// carries all Max candidates' end-effector positions in SoA lanes,
+// from the tip to the base (the software mirror of the paper's FKU
+// array).  Execution is pluggable: inline (the paper's "Atom"
+// single-thread row) evaluates the whole batch in one kernel call; the
+// thread pool splits it into contiguous lane chunks, one per worker.
+// Both produce bit-identical results — selection is a deterministic
+// argmin with smallest-k tie-break — which is also what lets the IKAcc
+// simulator's functional output be validated against this class.
+//
+// The parallelism is the K speculations inside one iteration: a burst
+// of requests (IkSolver::solveMany) is solved one request at a time
+// through solve(), since one request's K candidates already fill the
+// vector registers.
 #pragma once
 
 #include <memory>
@@ -51,24 +56,6 @@ class QuickIkSolver final : public IkSolver {
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
 
-  /// Fused multi-request solve: lanes iterate in lockstep, each
-  /// iteration's speculative sweeps running through one grouped SoA
-  /// chain walk (kin::BatchedForward::evaluateGrouped) over a shared
-  /// workspace.  The batch is processed in L1-sized chunks (the fused
-  /// working set — candidates, accumulators, Jacobian heads — degrades
-  /// past ~32 SoA lanes on one core), so arbitrarily large service
-  /// bursts stay at the kernel's sweet spot.  Per lane the arithmetic
-  /// is statement-for-statement the single solve() loop, so results
-  /// are bit-identical to the sequential fallback; per-lane deadlines
-  /// retire individual lanes (kTimedOut, best-so-far theta) and
-  /// per-lane exceptions (validateInputs, solver.iterate faults)
-  /// retire the failing lane without disturbing batchmates.  The fused
-  /// path engages for kSerial execution with n > 1; kThreadPool keeps
-  /// the base sequential loop (its parallelism is already inside each
-  /// solve).
-  void solveMany(const BatchLane* lanes, BatchLaneResult* out,
-                 std::size_t n) override;
-
   std::string name() const override {
     return execution_ == Execution::kSerial ? "quick-ik" : "quick-ik-mt";
   }
@@ -85,30 +72,12 @@ class QuickIkSolver final : public IkSolver {
   Execution execution_;
   std::unique_ptr<par::ThreadPool> pool_;  // only for kThreadPool
 
-  // One lockstep chunk of the fused batch (all lanes, one shared
-  // grouped sweep per iteration).
-  void solveManyFused(const BatchLane* lanes, BatchLaneResult* out,
-                      std::size_t n);
-
   JtWorkspace ws_;
   // Batched speculation workspace, sized once in the constructor and
   // reused every iteration: the SoA FK kernel (owns candidates,
-  // accumulators and errors) and the alpha ladder.
+  // positions and errors) and the alpha ladder.
   kin::BatchedForward batch_;
   std::vector<double> alphas_;
-
-  // solveMany() fused-batch scratch, reused across calls and
-  // allocation-free once warm at the high-water batch size.  Lane g of
-  // an n-request batch owns kernel lanes [g*K, (g+1)*K): its own alpha
-  // ladder slice, workspace (dtheta_base must survive the head ->
-  // sweep hand-off per lane) and head-error slot.
-  kin::BatchedForward many_batch_;
-  std::vector<double> many_alphas_;
-  std::vector<JtWorkspace> many_ws_;
-  std::vector<double> many_head_error_;
-  std::vector<unsigned char> many_active_;
-  std::vector<kin::BatchedForward::LaneGroup> many_groups_;
-  std::vector<std::size_t> many_swept_;
 };
 
 }  // namespace dadu::ik

@@ -3,8 +3,8 @@
 // scalar reference across DOF x K grids — revolute and prismatic
 // chains, identity and offset bases, clamped and free, ragged lane ranges, hostile lanes that take
 // the walk's libm trig fallback, grouped sweeps — the
-// walk-slicing cache seam, and solver-level identity at K > the fused
-// budget.
+// walk-slicing cache seam (both precisions), and solver-level identity
+// at K > the slice budget.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dadu/kinematics/backends/spec_backend.hpp"
@@ -78,17 +79,11 @@ std::vector<double> alphaLadder(int max_spec, double alpha_base) {
   return alphas;
 }
 
-/// ULP distance between two doubles of the same sign ordering; 0 means
-/// bit-identical (modulo +0/-0, which compare equal).
-std::int64_t ulpDiff(double a, double b) {
-  if (a == b) return 0;
-  std::int64_t ia, ib;
-  std::memcpy(&ia, &a, sizeof a);
-  std::memcpy(&ib, &b, sizeof b);
-  if (ia < 0) ia = std::numeric_limits<std::int64_t>::min() - ia;
-  if (ib < 0) ib = std::numeric_limits<std::int64_t>::min() - ib;
-  const std::int64_t d = ia - ib;
-  return d < 0 ? -d : d;
+/// The IEEE bit pattern of x (tells +0 from -0 and NaN payloads apart).
+std::uint64_t bitsOf(double x) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof x);
+  return bits;
 }
 
 TEST(SpecBackendRegistry, ScalarIsAlwaysPresentAndRunnable) {
@@ -101,13 +96,9 @@ TEST(SpecBackendRegistry, ScalarIsAlwaysPresentAndRunnable) {
 
 TEST(SpecBackendRegistry, CapsAreSane) {
   for (const SpecBackend* b : kin::allSpecBackends()) {
-    const kin::SpecBackendCaps caps = b->caps();
-    EXPECT_GE(caps.lane_multiple, 1u) << b->name();
-    EXPECT_GE(caps.max_fused_lanes, caps.lane_multiple) << b->name();
-    EXPECT_GE(caps.alignment, alignof(double)) << b->name();
-    // Every CPU backend promises bit-identical arithmetic; a future
-    // accelerator backend may relax this, the kernel tests key off it.
-    EXPECT_EQ(caps.max_ulp_error, 0u) << b->name();
+    EXPECT_GE(b->laneMultiple(), 1u) << b->name();
+    EXPECT_GE(BatchedForward::kMaxWalkSliceLanes, b->laneMultiple())
+        << b->name();
   }
 }
 
@@ -131,7 +122,7 @@ TEST(SpecBackendRegistry, OverrideRoundTrips) {
 }
 
 // Every runnable wide backend must reproduce the scalar backend's
-// candidates, positions and errors bit-for-bit (max_ulp_error == 0)
+// candidates, positions and errors bit-for-bit
 // across the DOF x K grid, on revolute-only and mixed prismatic
 // chains, with identity and offset bases, clamped and free.
 TEST(SpecBackendParity, BitExactAcrossDofKGrid) {
@@ -161,17 +152,15 @@ TEST(SpecBackendParity, BitExactAcrossDofKGrid) {
             wide.reset(chain, alphas.size());
             wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target,
                                clamp, 0, alphas.size());
-            const std::size_t max_ulp = backend->caps().max_ulp_error;
             for (std::size_t k = 0; k < alphas.size(); ++k) {
               const linalg::Vec3 pr = ref.position(k);
               const linalg::Vec3 pw = wide.position(k);
-              EXPECT_LE(ulpDiff(pr.x, pw.x), static_cast<std::int64_t>(max_ulp))
+              EXPECT_EQ(bitsOf(pr.x), bitsOf(pw.x))
                   << backend->name() << " " << chain.name() << " dof=" << dof
                   << " K=" << k_count << " clamp=" << clamp << " lane " << k;
-              EXPECT_LE(ulpDiff(pr.y, pw.y), static_cast<std::int64_t>(max_ulp));
-              EXPECT_LE(ulpDiff(pr.z, pw.z), static_cast<std::int64_t>(max_ulp));
-              EXPECT_LE(ulpDiff(ref.errors()[k], wide.errors()[k]),
-                        static_cast<std::int64_t>(max_ulp))
+              EXPECT_EQ(bitsOf(pr.y), bitsOf(pw.y));
+              EXPECT_EQ(bitsOf(pr.z), bitsOf(pw.z));
+              EXPECT_EQ(bitsOf(ref.errors()[k]), bitsOf(wide.errors()[k]))
                   << backend->name() << " lane " << k;
               linalg::VecX cr, cw;
               ref.candidateInto(k, cr);
@@ -365,30 +354,40 @@ TEST(SpecBackendParity, GroupedSweepMatchesPerGroupCalls) {
   }
 }
 
-// The cache seam: no contiguous walk may exceed the backend's fused
-// budget, however large the lane range — and slicing must not change
-// results (regression for the K > max_fused_lanes chunking defect).
+// The cache seam: no contiguous walk may exceed the slice budget,
+// however large the lane range and in either precision — and slicing
+// must not change results (regression for the K > budget chunking
+// defect, and for the f32 walk that never sliced).
 TEST(SpecBackendSlicing, WalksNeverExceedFusedBudget) {
   const auto chain = kin::makeSerpentine(30);
   const linalg::VecX theta = patternVec(30, 0.4, 0.0);
   const linalg::VecX dtheta = patternVec(30, 1.0, 1.0);
   const linalg::Vec3 target{0.3, 0.3, 0.3};
   const auto alphas = alphaLadder(512, 0.5);
+  const std::size_t budget = BatchedForward::kMaxWalkSliceLanes;
+  ASSERT_LT(budget, alphas.size()) << "test needs K > budget";
 
-  for (const SpecBackend* backend : runnableBackends()) {
-    const std::size_t budget = backend->caps().max_fused_lanes;
-    ASSERT_LT(budget, alphas.size()) << "test needs K > budget";
+  // Every runnable backend on the f64 walk, plus the f32 walk (which
+  // always runs the scalar reference).
+  std::vector<std::pair<BatchedForward::Precision, const SpecBackend*>> cases;
+  for (const SpecBackend* backend : runnableBackends())
+    cases.emplace_back(BatchedForward::Precision::kF64, backend);
+  cases.emplace_back(BatchedForward::Precision::kF32,
+                     &kin::scalarSpecBackend());
 
-    BatchedForward batch(BatchedForward::Precision::kF64, backend);
+  for (const auto& [precision, backend] : cases) {
+    const bool f32 = precision == BatchedForward::Precision::kF32;
+    BatchedForward batch(precision, backend);
     batch.reset(chain, alphas.size());
     EXPECT_EQ(batch.maxWalkSliceLanes(), 0u) << "reset clears the seam";
     batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 0,
                         alphas.size());
-    EXPECT_LE(batch.maxWalkSliceLanes(), budget) << backend->name();
+    EXPECT_LE(batch.maxWalkSliceLanes(), budget)
+        << backend->name() << " f32=" << f32;
     EXPECT_GT(batch.maxWalkSliceLanes(), 0u);
 
     // A 512-lane group through evaluateGrouped slices identically.
-    BatchedForward grouped(BatchedForward::Precision::kF64, backend);
+    BatchedForward grouped(precision, backend);
     grouped.reset(chain, alphas.size());
     const BatchedForward::LaneGroup group{&theta, &dtheta, target, 0,
                                           alphas.size()};
@@ -402,9 +401,8 @@ TEST(SpecBackendSlicing, WalksNeverExceedFusedBudget) {
 }
 
 // Solver-level regression for the chunk-sizing defect: a K=512 burst
-// (K far above the fused budget) through solveMany must produce
-// bit-identical results to per-lane solve() calls, and the kernel must
-// have sliced every walk to the budget.
+// (K far above the slice budget) through solveMany must produce
+// bit-identical results to per-lane solve() calls.
 TEST(SpecBackendSlicing, SolveManyAtK512MatchesPerLaneSolves) {
   const auto chain = kin::makeSerpentine(20);
   ik::SolveOptions options;

@@ -6,7 +6,7 @@
 //     spec in its own single-spec IkService;
 //   - per-spec seed caches are physically isolated (a hit in spec A
 //     never seeds spec B);
-//   - batched dispatch never fuses requests from different specs into
+//   - batched dispatch never puts requests from different specs into
 //     one solveMany (every response's theta has its own spec's DOF);
 //   - the aggregate/metrics views conserve what the lanes counted.
 #include <gtest/gtest.h>
@@ -216,7 +216,7 @@ TEST(SpecRouter, SeedCachesAreIsolatedPerSpec) {
 TEST(SpecRouter, BatchedDispatchNeverMixesSpecs) {
   // Interleave a burst across specs with batching wide open.  Every
   // response's theta must carry its own spec's DOF — a cross-spec
-  // fused batch would hand a request to the wrong lane's solver and
+  // burst would hand a request to the wrong lane's solver and
   // the dimension would betray it.
   const std::vector<std::size_t> dofs = {4, 7, 10};
   const auto reg = makeRegistry(dofs);

@@ -1,10 +1,11 @@
-// Batched-dispatch tests: BoundedQueue::popMany semantics, the fused
-// QuickIkSolver::solveMany path, and the IkService batch coalescer's
-// contract — batching changes amortization, never per-request
-// semantics.  The load-bearing claims:
+// Batched-dispatch tests: BoundedQueue::popMany semantics, the
+// IkSolver::solveMany burst loop on QuickIkSolver, and the IkService
+// batch coalescer's contract — batching changes amortization, never
+// per-request semantics.  The load-bearing claims:
 //
 //   - popMany is FIFO and keeps serving a closed queue until drained,
-//   - fused batch solves are bit-identical to sequential solve() calls,
+//   - burst solves are bit-identical to sequential solve() calls, and
+//     each lane's solve_ms times its own solve only,
 //   - a service returns the bit-identical results of a direct solve()
 //     on the same workload, in bursts of one and coalesced bursts,
 //   - deadlines retire individual lanes (expired-at-pickup and
@@ -124,7 +125,7 @@ TEST(BoundedQueuePopMany, LingerCollectsStragglers) {
   for (int i = 0; i < 3; ++i) EXPECT_EQ(burst[i].request.deadline_ms, i);
 }
 
-// ------------------------------------------- fused solver batches
+// ------------------------------------------------- solver bursts
 
 ik::SolveOptions fastOptions() {
   ik::SolveOptions options;
@@ -139,12 +140,12 @@ TEST(QuickIkSolveMany, BitIdenticalToSequentialSolves) {
   const auto tasks = workload::generateTasks(chain, 24);
 
   ik::QuickIkSolver sequential(chain, fastOptions());
-  ik::QuickIkSolver fused(chain, fastOptions());
+  ik::QuickIkSolver batched(chain, fastOptions());
 
   std::vector<ik::BatchLane> lanes;
   for (const auto& task : tasks) lanes.push_back({task.target, &task.seed, {}});
   std::vector<ik::BatchLaneResult> outcomes(lanes.size());
-  fused.solveMany(lanes.data(), outcomes.data(), lanes.size());
+  batched.solveMany(lanes.data(), outcomes.data(), lanes.size());
 
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const ik::SolveResult expected =
@@ -178,6 +179,29 @@ TEST(QuickIkSolveMany, InvalidLaneFailsAloneInFusedBatch) {
     ASSERT_FALSE(outcomes[i].error) << i;
     EXPECT_TRUE(outcomes[i].result.converged()) << i;
   }
+}
+
+TEST(QuickIkSolveMany, LaneSolveMsCoversOnlyItsOwnSolve) {
+  // A 50 ms stall in lane 0's first iteration must not be billed to
+  // its batchmates: solve_ms is each lane's own solve time, not the
+  // time since the burst started.
+  const auto chain = kin::makeSerpentine(10);
+  const auto tasks = workload::generateTasks(chain, 4);
+  ik::QuickIkSolver solver(chain, fastOptions());
+
+  fault::FaultPlan plan;
+  plan.delayAt("solver.iterate", 50.0, {.nth = 1});
+  fault::ScopedFaultPlan armed(plan);
+
+  std::vector<ik::BatchLane> lanes;
+  for (const auto& task : tasks) lanes.push_back({task.target, &task.seed, {}});
+  std::vector<ik::BatchLaneResult> outcomes(lanes.size());
+  solver.solveMany(lanes.data(), outcomes.data(), lanes.size());
+
+  for (std::size_t i = 0; i < lanes.size(); ++i) ASSERT_FALSE(outcomes[i].error);
+  EXPECT_GE(outcomes[0].solve_ms, 50.0);
+  for (std::size_t i = 1; i < lanes.size(); ++i)
+    EXPECT_LT(outcomes[i].solve_ms, 50.0) << "lane " << i;
 }
 
 // --------------------------------------------- service batch path
@@ -295,7 +319,7 @@ TEST(ServiceBatch, ExpiredLanesDropWhileBatchmatesSolve) {
 
 TEST(ServiceBatch, InFlightDeadlineTimesOutOneLaneNotItsBatchmates) {
   // One lane gets an unreachable target, a deadline, and a huge
-  // iteration budget: the fused watchdog must retire it (kTimedOut,
+  // iteration budget: the watchdog must retire it (kTimedOut,
   // best-so-far theta) while batchmates converge normally.
   //
   // Stays on the real clock deliberately: the watchdog races actual
