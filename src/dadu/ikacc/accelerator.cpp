@@ -12,7 +12,7 @@ namespace dadu::acc {
 
 IkAccelerator::IkAccelerator(kin::Chain chain, ik::SolveOptions options,
                              AccConfig config)
-    : chain_(std::move(chain)), options_(options), config_(config) {
+    : JtSolver(std::move(chain), options), config_(config) {
   if (options_.speculations < 1)
     throw std::invalid_argument("IKAcc requires at least 1 speculation");
   if (config_.num_ssus == 0)
@@ -24,8 +24,6 @@ IkAccelerator::IkAccelerator(kin::Chain chain, ik::SolveOptions options,
 
 ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
                                      const linalg::VecX& seed) {
-  ik::validateInputs(chain_, target, seed);
-
   const std::size_t dof = chain_.dof();
   const std::size_t max_spec = static_cast<std::size_t>(options_.speculations);
   const auto waves = scheduleWaves(max_spec, config_.num_ssus);
@@ -39,44 +37,16 @@ ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
   stats_.waves_per_iteration = static_cast<int>(waves.size());
   trace_.clear();
 
-  ik::SolveResult result;
-  result.theta = seed;
-
-  if (options_.max_iterations <= 0) {
-    const ik::JtIterationHead head =
-        ik::jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
+  // ---- Serial Process Unit: one pass per head ---------------------
+  const auto charge_spu = [&] {
     stats_.spu_cycles += spu.cycles;
     stats_.total_cycles += spu.cycles;
     stats_.ops += spu.ops;
-    result.error = head.error;
-    result.status = head.error < options_.accuracy
-                        ? ik::Status::kConverged
-                        : ik::Status::kMaxIterations;
-    finalizeEnergy(config_, stats_);
-    return result;
-  }
+  };
 
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    // ---- Serial Process Unit -------------------------------------
-    const ik::JtIterationHead head =
-        ik::jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    stats_.spu_cycles += spu.cycles;
-    stats_.total_cycles += spu.cycles;
-    stats_.ops += spu.ops;
-
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
-
-    if (head.error < options_.accuracy) {
-      result.status = ik::Status::kConverged;
-      break;
-    }
-    if (head.stalled) {
-      result.status = ik::Status::kStalled;
-      break;
-    }
+  const auto step = [&](const ik::JtIterationHead& head,
+                        ik::SolveResult& result) {
+    charge_spu();  // the head this step follows
 
     // ---- Speculative waves ----------------------------------------
     long long wave_cycles_this_iter = 0;
@@ -125,35 +95,24 @@ ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
     // solve stalls — the deterministic alpha ladder would only repeat
     // the same losing sweep.  Projected descent (clamp_to_limits) is
     // exempt, exactly as in the software solver.
-    if (!options_.clamp_to_limits && !(error_k[best] < head.error)) {
-      trace_.push_back({result.iterations, spu.cycles, wave_cycles_this_iter,
-                        stats_.total_cycles, result.error, head.alpha_base,
-                        static_cast<int>(best) + 1});
-      result.status = ik::Status::kStalled;
-      break;
+    const bool adopt =
+        options_.clamp_to_limits || error_k[best] < head.error;
+    if (adopt) {
+      batch_.candidateInto(best, result.theta);
+      result.error = error_k[best];
     }
-
-    batch_.candidateInto(best, result.theta);
-    result.error = error_k[best];
-
     trace_.push_back({result.iterations, spu.cycles, wave_cycles_this_iter,
                       stats_.total_cycles, result.error, head.alpha_base,
                       static_cast<int>(best) + 1});
+    return adopt ? ik::StepOutcome::kMeasured : ik::StepOutcome::kStalled;
+  };
+  ik::SolveResult result = iterate(target, seed, ik::headStalls, step);
 
-    if (error_k[best] < options_.accuracy) {
-      result.status = ik::Status::kConverged;
-      if (options_.record_history) result.error_history.push_back(result.error);
-      break;
-    }
-    if (iter + 1 == options_.max_iterations)
-      result.status = ik::Status::kMaxIterations;
-  }
-
-  if (result.error < options_.accuracy) result.status = ik::Status::kConverged;
-  // Budget exhausted after an adopting sweep: mirror the software
-  // solver and record the adopted error as the final history entry.
-  if (options_.record_history && result.status == ik::Status::kMaxIterations)
-    result.error_history.push_back(result.error);
+  // Each step charged the head before it.  The head that ended the
+  // solve (converged, stalled or timed out, or the measurement that
+  // closes a zero budget) had no step to charge it.
+  if (result.fk_evaluations - result.speculation_load > stats_.iterations)
+    charge_spu();
   finalizeEnergy(config_, stats_);
   return result;
 }

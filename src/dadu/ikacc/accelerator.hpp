@@ -20,12 +20,11 @@
 #include "dadu/ikacc/stats.hpp"
 #include "dadu/ikacc/trace.hpp"
 #include "dadu/kinematics/forward_batch.hpp"
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::acc {
 
-class IkAccelerator final : public ik::IkSolver {
+class IkAccelerator final : public ik::JtSolver {
  public:
   IkAccelerator(kin::Chain chain, ik::SolveOptions options,
                 AccConfig config = {});
@@ -33,8 +32,6 @@ class IkAccelerator final : public ik::IkSolver {
   ik::SolveResult solve(const linalg::Vec3& target,
                         const linalg::VecX& seed) override;
   std::string name() const override { return "ikacc"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const ik::SolveOptions& options() const override { return options_; }
 
   const AccConfig& config() const { return config_; }
   /// Cycle/energy accounting of the most recent solve().
@@ -43,13 +40,10 @@ class IkAccelerator final : public ik::IkSolver {
   const SolveTrace& lastTrace() const { return trace_; }
 
  private:
-  kin::Chain chain_;
-  ik::SolveOptions options_;
   AccConfig config_;
   AccStats stats_;
   SolveTrace trace_;
 
-  ik::JtWorkspace ws_;
   // The SSUs' functional model: the same batched speculation kernel the
   // software solver runs, evaluated one wave's lane range at a time.
   kin::BatchedForward batch_;

@@ -6,56 +6,27 @@ namespace dadu::ik {
 
 SolveResult DlsSolver::solve(const linalg::Vec3& target,
                              const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
+  return iterate(
+      target, seed, neverStallsAtHead,
+      [this](const JtIterationHead& head, SolveResult& result) {
+        const linalg::Vec3 step = clampTaskStep(head, max_task_step_);
 
-  SolveResult result;
-  result.theta = seed;
+        // (J J^T + lambda^2 I) y = e, then dtheta = J^T y.
+        const linalg::Mat3 g = linalg::gram3(ws_.j);
+        linalg::MatX a(3, 3);
+        for (std::size_t r = 0; r < 3; ++r)
+          for (std::size_t c = 0; c < 3; ++c) a(r, c) = g(r, c);
+        for (std::size_t d = 0; d < 3; ++d) a(d, d) += lambda_ * lambda_;
 
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
+        const auto y = linalg::choleskySolve(a, {step.x, step.y, step.z});
+        // JJ^T + lambda^2 I is SPD by construction; failure means NaN.
+        if (!y) return StepOutcome::kStalled;
+        linalg::VecX dtheta;
+        linalg::mulTransposed3(ws_.j, {(*y)[0], (*y)[1], (*y)[2]}, dtheta);
 
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-
-    linalg::Vec3 step = head.error_vec;
-    if (max_task_step_ > 0.0 && head.error > max_task_step_)
-      step *= max_task_step_ / head.error;
-
-    // (J J^T + lambda^2 I) y = e, then dtheta = J^T y.
-    const linalg::Mat3 g = linalg::gram3(ws_.j);
-    linalg::MatX a(3, 3);
-    for (std::size_t r = 0; r < 3; ++r)
-      for (std::size_t c = 0; c < 3; ++c) a(r, c) = g(r, c);
-    for (std::size_t d = 0; d < 3; ++d) a(d, d) += lambda_ * lambda_;
-
-    const auto y = linalg::choleskySolve(a, {step.x, step.y, step.z});
-    if (!y) {  // JJ^T + lambda^2 I is SPD by construction; failure means NaN
-      result.status = Status::kStalled;
-      return result;
-    }
-    linalg::VecX dtheta;
-    linalg::mulTransposed3(ws_.j, {(*y)[0], (*y)[1], (*y)[2]}, dtheta);
-
-    result.theta += dtheta;
-    if (options_.clamp_to_limits)
-      result.theta = chain_.clampToLimits(result.theta);
-    ++result.iterations;
-    ++result.speculation_load;
-  }
-
-  const JtIterationHead head =
-      jtIterationHead(chain_, result.theta, target, ws_);
-  ++result.fk_evaluations;
-  result.error = head.error;
-  result.status = head.error < options_.accuracy ? Status::kConverged
-                                                 : Status::kMaxIterations;
-  return result;
+        result.theta += dtheta;
+        return moved(result);
+      });
 }
 
 }  // namespace dadu::ik

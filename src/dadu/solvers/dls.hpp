@@ -8,33 +8,26 @@
 // iteration) and J^+-SVD (fewest iterations).
 #pragma once
 
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class DlsSolver final : public IkSolver {
+class DlsSolver final : public JtSolver {
  public:
   DlsSolver(kin::Chain chain, SolveOptions options, double lambda = 0.1,
             double max_task_step = 0.1)
-      : chain_(std::move(chain)),
-        options_(options),
+      : JtSolver(std::move(chain), options),
         lambda_(lambda),
         max_task_step_(max_task_step) {}
 
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "dls"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
   double lambda() const { return lambda_; }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   double lambda_;
   double max_task_step_;
-  JtWorkspace ws_;
 };
 
 }  // namespace dadu::ik

@@ -10,8 +10,7 @@ namespace dadu::ik {
 WeightedDlsSolver::WeightedDlsSolver(kin::Chain chain, SolveOptions options,
                                      linalg::VecX weights, double lambda,
                                      double max_task_step)
-    : chain_(std::move(chain)),
-      options_(options),
+    : JtSolver(std::move(chain), options),
       inv_weights_(weights.size()),
       lambda_(lambda),
       max_task_step_(max_task_step) {
@@ -26,63 +25,33 @@ WeightedDlsSolver::WeightedDlsSolver(kin::Chain chain, SolveOptions options,
 
 SolveResult WeightedDlsSolver::solve(const linalg::Vec3& target,
                                      const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
+  return iterate(
+      target, seed, neverStallsAtHead,
+      [this](const JtIterationHead& head, SolveResult& result) {
+        const linalg::Vec3 step = clampTaskStep(head, max_task_step_);
 
-  SolveResult result;
-  result.theta = seed;
+        // A = J W^-1 J^T + lambda^2 I  (3x3): accumulate column-wise.
+        linalg::Mat3 g = linalg::Mat3::zero();
+        for (std::size_t c = 0; c < chain_.dof(); ++c) {
+          const linalg::Vec3 col = ws_.j.col3(c);
+          g += linalg::Mat3::outer(col, col) * inv_weights_[c];
+        }
+        linalg::MatX a(3, 3);
+        for (std::size_t r = 0; r < 3; ++r)
+          for (std::size_t c = 0; c < 3; ++c) a(r, c) = g(r, c);
+        for (std::size_t d = 0; d < 3; ++d) a(d, d) += lambda_ * lambda_;
 
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
+        const auto y = linalg::choleskySolve(a, {step.x, step.y, step.z});
+        if (!y) return StepOutcome::kStalled;
+        // dtheta = W^-1 J^T y.
+        linalg::VecX dtheta;
+        linalg::mulTransposed3(ws_.j, {(*y)[0], (*y)[1], (*y)[2]}, dtheta);
+        for (std::size_t i = 0; i < dtheta.size(); ++i)
+          dtheta[i] *= inv_weights_[i];
 
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-
-    linalg::Vec3 step = head.error_vec;
-    if (max_task_step_ > 0.0 && head.error > max_task_step_)
-      step *= max_task_step_ / head.error;
-
-    // A = J W^-1 J^T + lambda^2 I  (3x3): accumulate column-wise.
-    linalg::Mat3 g = linalg::Mat3::zero();
-    for (std::size_t c = 0; c < chain_.dof(); ++c) {
-      const linalg::Vec3 col = ws_.j.col3(c);
-      g += linalg::Mat3::outer(col, col) * inv_weights_[c];
-    }
-    linalg::MatX a(3, 3);
-    for (std::size_t r = 0; r < 3; ++r)
-      for (std::size_t c = 0; c < 3; ++c) a(r, c) = g(r, c);
-    for (std::size_t d = 0; d < 3; ++d) a(d, d) += lambda_ * lambda_;
-
-    const auto y = linalg::choleskySolve(a, {step.x, step.y, step.z});
-    if (!y) {
-      result.status = Status::kStalled;
-      return result;
-    }
-    // dtheta = W^-1 J^T y.
-    linalg::VecX dtheta;
-    linalg::mulTransposed3(ws_.j, {(*y)[0], (*y)[1], (*y)[2]}, dtheta);
-    for (std::size_t i = 0; i < dtheta.size(); ++i)
-      dtheta[i] *= inv_weights_[i];
-
-    result.theta += dtheta;
-    if (options_.clamp_to_limits)
-      result.theta = chain_.clampToLimits(result.theta);
-    ++result.iterations;
-    ++result.speculation_load;
-  }
-
-  const JtIterationHead head =
-      jtIterationHead(chain_, result.theta, target, ws_);
-  ++result.fk_evaluations;
-  result.error = head.error;
-  result.status = head.error < options_.accuracy ? Status::kConverged
-                                                 : Status::kMaxIterations;
-  return result;
+        result.theta += dtheta;
+        return moved(result);
+      });
 }
 
 }  // namespace dadu::ik

@@ -10,12 +10,11 @@
 // to plain DLS when W = I.
 #pragma once
 
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class WeightedDlsSolver final : public IkSolver {
+class WeightedDlsSolver final : public JtSolver {
  public:
   /// `weights` has one positive entry per joint; throws
   /// std::invalid_argument on size mismatch or non-positive weights.
@@ -26,16 +25,11 @@ class WeightedDlsSolver final : public IkSolver {
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "dls-weighted"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   linalg::VecX inv_weights_;  // 1 / weight_i, precomputed
   double lambda_;
   double max_task_step_;
-  JtWorkspace ws_;
 };
 
 }  // namespace dadu::ik

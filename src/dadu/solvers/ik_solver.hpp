@@ -68,8 +68,10 @@ class IkSolver {
   /// Arm (or clear, with the default time_point) the cooperative
   /// watchdog deadline for subsequent solve() calls — the per-request
   /// hook the serving layer uses on its per-worker solver instances.
-  /// The base implementation ignores it: solvers without an iteration
-  /// loop to check from simply run unbounded.
+  /// JtSolver's iteration loop checks it at every head.  The base
+  /// implementation ignores it, so the solvers that do not override it
+  /// (CCD, RestartSolver, the pose and tree solvers) run to their
+  /// iteration budget.
   virtual void setDeadline(std::chrono::steady_clock::time_point) {}
 
   /// Point the solver at a Clock (null = real steady clock).  Watchdog

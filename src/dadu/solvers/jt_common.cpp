@@ -60,6 +60,12 @@ double stabilityGain(const kin::Chain& chain, double c) {
   return sum_sq > 0.0 ? c / sum_sq : c;
 }
 
+linalg::Vec3 clampTaskStep(const JtIterationHead& head, double max_step) {
+  linalg::Vec3 step = head.error_vec;
+  if (max_step > 0.0 && head.error > max_step) step *= max_step / head.error;
+  return step;
+}
+
 void validateInputs(const kin::Chain& chain, const linalg::Vec3& target,
                     const linalg::VecX& seed) {
   chain.requireSize(seed);

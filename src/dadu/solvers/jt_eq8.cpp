@@ -4,42 +4,10 @@ namespace dadu::ik {
 
 SolveResult JtEq8Solver::solve(const linalg::Vec3& target,
                                const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
-
-  SolveResult result;
-  result.theta = seed;
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
-
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-    if (head.stalled) {
-      result.status = Status::kStalled;
-      return result;
-    }
-
-    linalg::axpy(head.alpha_base, ws_.dtheta_base, result.theta);
-    if (options_.clamp_to_limits)
-      result.theta = chain_.clampToLimits(result.theta);
-
-    ++result.iterations;
-    ++result.speculation_load;
-  }
-
-  const JtIterationHead head =
-      jtIterationHead(chain_, result.theta, target, ws_);
-  ++result.fk_evaluations;
-  result.error = head.error;
-  result.status = head.error < options_.accuracy ? Status::kConverged
-                                                 : Status::kMaxIterations;
-  return result;
+  return iterate(target, seed, headStalls,
+                 [this](const JtIterationHead& head, SolveResult& result) {
+                   return gainStep(head.alpha_base, result);
+                 });
 }
 
 }  // namespace dadu::ik

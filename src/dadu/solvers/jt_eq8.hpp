@@ -11,26 +11,18 @@
 // alpha-strategy ablation bench.
 #pragma once
 
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class JtEq8Solver final : public IkSolver {
+class JtEq8Solver final : public JtSolver {
  public:
   JtEq8Solver(kin::Chain chain, SolveOptions options)
-      : chain_(std::move(chain)), options_(options) {}
+      : JtSolver(std::move(chain), options) {}
 
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "jt-eq8"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
-
- private:
-  kin::Chain chain_;
-  SolveOptions options_;
-  JtWorkspace ws_;
 };
 
 }  // namespace dadu::ik

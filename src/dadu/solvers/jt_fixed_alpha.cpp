@@ -4,47 +4,10 @@ namespace dadu::ik {
 
 SolveResult JtFixedAlphaSolver::solve(const linalg::Vec3& target,
                                       const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
-
-  SolveResult result;
-  result.theta = seed;
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
-
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-    if (head.stalled) {
-      result.status = Status::kStalled;
-      return result;
-    }
-    // Watchdog: bail with the best-so-far iterate.
-    if (options_.hasDeadline() && options_.deadlineExpired(clock())) {
-      result.status = Status::kTimedOut;
-      return result;
-    }
-
-    linalg::axpy(alpha_, ws_.dtheta_base, result.theta);
-    if (options_.clamp_to_limits)
-      result.theta = chain_.clampToLimits(result.theta);
-
-    ++result.iterations;
-    ++result.speculation_load;
-  }
-
-  const JtIterationHead head =
-      jtIterationHead(chain_, result.theta, target, ws_);
-  ++result.fk_evaluations;
-  result.error = head.error;
-  result.status = head.error < options_.accuracy ? Status::kConverged
-                                                 : Status::kMaxIterations;
-  return result;
+  return iterate(target, seed, headStalls,
+                 [this](const JtIterationHead&, SolveResult& result) {
+                   return gainStep(alpha_, result);
+                 });
 }
 
 }  // namespace dadu::ik

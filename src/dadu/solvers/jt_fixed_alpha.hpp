@@ -6,31 +6,22 @@
 // but tiny alpha crawls.  This solver makes that trade-off measurable.
 #pragma once
 
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class JtFixedAlphaSolver final : public IkSolver {
+class JtFixedAlphaSolver final : public JtSolver {
  public:
   JtFixedAlphaSolver(kin::Chain chain, SolveOptions options, double alpha)
-      : chain_(std::move(chain)), options_(options), alpha_(alpha) {}
+      : JtSolver(std::move(chain), options), alpha_(alpha) {}
 
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "jt-fixed-alpha"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
-  void setDeadline(std::chrono::steady_clock::time_point d) override {
-    options_.deadline = d;
-  }
   double alpha() const { return alpha_; }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   double alpha_;
-  JtWorkspace ws_;
 };
 
 }  // namespace dadu::ik

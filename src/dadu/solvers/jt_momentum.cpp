@@ -4,47 +4,22 @@ namespace dadu::ik {
 
 SolveResult JtMomentumSolver::solve(const linalg::Vec3& target,
                                     const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
-
-  SolveResult result;
-  result.theta = seed;
   linalg::VecX velocity(chain_.dof());
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
-
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-    if (head.stalled && velocity.maxAbs() < 1e-300) {
-      result.status = Status::kStalled;
-      return result;
-    }
-
-    // velocity = beta * velocity + alpha * J^T e; theta += velocity.
-    velocity *= beta_;
-    if (!head.stalled)
-      linalg::axpy(head.alpha_base, ws_.dtheta_base, velocity);
-    result.theta += velocity;
-    if (options_.clamp_to_limits)
-      result.theta = chain_.clampToLimits(result.theta);
-
-    ++result.iterations;
-    ++result.speculation_load;
-  }
-
-  const JtIterationHead head =
-      jtIterationHead(chain_, result.theta, target, ws_);
-  ++result.fk_evaluations;
-  result.error = head.error;
-  result.status = head.error < options_.accuracy ? Status::kConverged
-                                                 : Status::kMaxIterations;
-  return result;
+  // A vanished gradient ends the solve only once the velocity has died
+  // out too: momentum can still carry theta across a stationary point.
+  const auto stalls = [&velocity](const JtIterationHead& head) {
+    return head.stalled && velocity.maxAbs() < 1e-300;
+  };
+  return iterate(
+      target, seed, stalls,
+      [this, &velocity](const JtIterationHead& head, SolveResult& result) {
+        // velocity = beta * velocity + alpha * J^T e; theta += velocity.
+        velocity *= beta_;
+        if (!head.stalled)
+          linalg::axpy(head.alpha_base, ws_.dtheta_base, velocity);
+        result.theta += velocity;
+        return moved(result);
+      });
 }
 
 }  // namespace dadu::ik

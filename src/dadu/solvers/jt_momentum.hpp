@@ -11,28 +11,22 @@
 // between jt-eq8 and quick-ik in iteration count.
 #pragma once
 
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class JtMomentumSolver final : public IkSolver {
+class JtMomentumSolver final : public JtSolver {
  public:
   JtMomentumSolver(kin::Chain chain, SolveOptions options, double beta = 0.7)
-      : chain_(std::move(chain)), options_(options), beta_(beta) {}
+      : JtSolver(std::move(chain), options), beta_(beta) {}
 
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "jt-momentum"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
   double beta() const { return beta_; }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   double beta_;
-  JtWorkspace ws_;
 };
 
 }  // namespace dadu::ik

@@ -4,51 +4,12 @@ namespace dadu::ik {
 
 SolveResult JtSerialSolver::solve(const linalg::Vec3& target,
                                   const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
-
-  SolveResult result;
-  result.theta = seed;
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
-
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-    if (head.stalled) {
-      result.status = Status::kStalled;
-      return result;
-    }
-    // Watchdog: the classical method's thousands of tiny iterations
-    // are exactly where an unbounded solve hides — check every head.
-    if (options_.hasDeadline() && options_.deadlineExpired(clock())) {
-      result.status = Status::kTimedOut;
-      return result;
-    }
-
-    // The original method's fixed-gain update (Eq. 7 with constant
-    // alpha); the Eq. 8 value computed by the head is ignored here.
-    linalg::axpy(alpha_, ws_.dtheta_base, result.theta);
-    if (options_.clamp_to_limits)
-      result.theta = chain_.clampToLimits(result.theta);
-
-    ++result.iterations;
-    ++result.speculation_load;  // one (non-speculative) search per iter
-  }
-
-  // Budget exhausted: report the final error.
-  const JtIterationHead head =
-      jtIterationHead(chain_, result.theta, target, ws_);
-  ++result.fk_evaluations;
-  result.error = head.error;
-  result.status = head.error < options_.accuracy ? Status::kConverged
-                                                 : Status::kMaxIterations;
-  return result;
+  // The original method's fixed-gain update (Eq. 7 with constant
+  // alpha); the Eq. 8 value computed by the head is ignored here.
+  return iterate(target, seed, headStalls,
+                 [this](const JtIterationHead&, SolveResult& result) {
+                   return gainStep(alpha_, result);
+                 });
 }
 
 }  // namespace dadu::ik

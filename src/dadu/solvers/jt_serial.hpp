@@ -14,35 +14,25 @@
 // separate JtEq8Solver baseline, used by the alpha-strategy ablation.
 #pragma once
 
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class JtSerialSolver final : public IkSolver {
+class JtSerialSolver final : public JtSolver {
  public:
   /// `gain_c` scales the stability-safe constant (see stabilityGain);
   /// alpha = gain_c / sum of squared stretched lever arms.
   JtSerialSolver(kin::Chain chain, SolveOptions options, double gain_c = 4.0)
-      : chain_(std::move(chain)),
-        options_(options),
+      : JtSolver(std::move(chain), options),
         alpha_(stabilityGain(chain_, gain_c)) {}
 
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "jt-serial"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
-  void setDeadline(std::chrono::steady_clock::time_point d) override {
-    options_.deadline = d;
-  }
   double alpha() const { return alpha_; }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   double alpha_;
-  JtWorkspace ws_;
 };
 
 }  // namespace dadu::ik

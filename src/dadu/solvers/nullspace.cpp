@@ -41,8 +41,7 @@ NullSpaceDlsSolver::NullSpaceDlsSolver(kin::Chain chain, SolveOptions options,
                                        ObjectiveGradient objective,
                                        double ns_gain, double lambda,
                                        double max_task_step)
-    : chain_(std::move(chain)),
-      options_(options),
+    : JtSolver(std::move(chain), options),
       objective_(std::move(objective)),
       ns_gain_(ns_gain),
       lambda_(lambda),
@@ -53,63 +52,37 @@ NullSpaceDlsSolver::NullSpaceDlsSolver(kin::Chain chain, SolveOptions options,
 
 SolveResult NullSpaceDlsSolver::solve(const linalg::Vec3& target,
                                       const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
+  return iterate(
+      target, seed, neverStallsAtHead,
+      [this](const JtIterationHead& head, SolveResult& result) {
+        const linalg::Vec3 step = clampTaskStep(head, max_task_step_);
 
-  SolveResult result;
-  result.theta = seed;
+        // Primary task: damped pseudoinverse step.
+        const linalg::Svd svd = linalg::svdJacobi(ws_.j);
+        const linalg::VecX dtheta_task =
+            linalg::dampedSolve(svd, {step.x, step.y, step.z}, lambda_);
 
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
+        // Secondary task: -grad H projected into the null space of J.
+        // (I - V V^T) g where V spans J's row space (numerically nonzero
+        // singular directions).
+        const linalg::VecX g = objective_(result.theta);
+        if (g.size() != chain_.dof())
+          throw std::invalid_argument(
+              "NullSpaceDlsSolver: objective gradient has wrong size");
+        linalg::VecX projected = g;
+        const std::size_t rank = svd.rank();
+        for (std::size_t k = 0; k < rank; ++k) {
+          double coeff = 0.0;
+          for (std::size_t i = 0; i < g.size(); ++i)
+            coeff += svd.v(i, k) * g[i];
+          for (std::size_t i = 0; i < g.size(); ++i)
+            projected[i] -= coeff * svd.v(i, k);
+        }
 
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-
-    linalg::Vec3 step = head.error_vec;
-    if (max_task_step_ > 0.0 && head.error > max_task_step_)
-      step *= max_task_step_ / head.error;
-
-    // Primary task: damped pseudoinverse step.
-    const linalg::Svd svd = linalg::svdJacobi(ws_.j);
-    const linalg::VecX dtheta_task =
-        linalg::dampedSolve(svd, {step.x, step.y, step.z}, lambda_);
-
-    // Secondary task: -grad H projected into the null space of J.
-    // (I - V V^T) g where V spans J's row space (numerically nonzero
-    // singular directions).
-    const linalg::VecX g = objective_(result.theta);
-    if (g.size() != chain_.dof())
-      throw std::invalid_argument(
-          "NullSpaceDlsSolver: objective gradient has wrong size");
-    linalg::VecX projected = g;
-    const std::size_t rank = svd.rank();
-    for (std::size_t k = 0; k < rank; ++k) {
-      double coeff = 0.0;
-      for (std::size_t i = 0; i < g.size(); ++i) coeff += svd.v(i, k) * g[i];
-      for (std::size_t i = 0; i < g.size(); ++i)
-        projected[i] -= coeff * svd.v(i, k);
-    }
-
-    result.theta += dtheta_task;
-    linalg::axpy(-ns_gain_, projected, result.theta);
-    if (options_.clamp_to_limits)
-      result.theta = chain_.clampToLimits(result.theta);
-    ++result.iterations;
-    ++result.speculation_load;
-  }
-
-  const JtIterationHead head =
-      jtIterationHead(chain_, result.theta, target, ws_);
-  ++result.fk_evaluations;
-  result.error = head.error;
-  result.status = head.error < options_.accuracy ? Status::kConverged
-                                                 : Status::kMaxIterations;
-  return result;
+        result.theta += dtheta_task;
+        linalg::axpy(-ns_gain_, projected, result.theta);
+        return moved(result);
+      });
 }
 
 }  // namespace dadu::ik

@@ -15,7 +15,6 @@
 
 #include <functional>
 
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
@@ -32,7 +31,7 @@ ObjectiveGradient restPostureObjective(linalg::VecX rest);
 /// towards the centre of the joint limits (unlimited joints ignored).
 ObjectiveGradient limitCenteringObjective(const kin::Chain& chain);
 
-class NullSpaceDlsSolver final : public IkSolver {
+class NullSpaceDlsSolver final : public JtSolver {
  public:
   /// `ns_gain` scales the projected secondary step per iteration.
   NullSpaceDlsSolver(kin::Chain chain, SolveOptions options,
@@ -42,17 +41,12 @@ class NullSpaceDlsSolver final : public IkSolver {
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "dls-nullspace"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   ObjectiveGradient objective_;
   double ns_gain_;
   double lambda_;
   double max_task_step_;
-  JtWorkspace ws_;
 };
 
 }  // namespace dadu::ik

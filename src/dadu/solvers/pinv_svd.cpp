@@ -7,53 +7,24 @@ namespace dadu::ik {
 
 SolveResult PinvSvdSolver::solve(const linalg::Vec3& target,
                                  const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
-
-  SolveResult result;
-  result.theta = seed;
   last_svd_sweeps_ = 0;
+  return iterate(
+      target, seed, neverStallsAtHead,
+      [this](const JtIterationHead& head, SolveResult& result) {
+        // Clamp the task-space step so the linearisation stays valid.
+        const linalg::Vec3 step = clampTaskStep(head, max_task_step_);
 
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
+        const linalg::Svd svd = linalg::svdJacobi(ws_.j);
+        last_svd_sweeps_ += svd.sweeps;
+        const linalg::VecX e_vec{step.x, step.y, step.z};
+        const linalg::VecX dtheta = linalg::pseudoinverseSolve(svd, e_vec);
 
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
+        // Rank-0 Jacobian: no progress possible.
+        if (dtheta.maxAbs() < 1e-300) return StepOutcome::kStalled;
 
-    // Clamp the task-space step so the linearisation stays valid.
-    linalg::Vec3 step = head.error_vec;
-    if (max_task_step_ > 0.0 && head.error > max_task_step_)
-      step *= max_task_step_ / head.error;
-
-    const linalg::Svd svd = linalg::svdJacobi(ws_.j);
-    last_svd_sweeps_ += svd.sweeps;
-    const linalg::VecX e_vec{step.x, step.y, step.z};
-    const linalg::VecX dtheta = linalg::pseudoinverseSolve(svd, e_vec);
-
-    if (dtheta.maxAbs() < 1e-300) {  // rank-0 Jacobian: no progress possible
-      result.status = Status::kStalled;
-      return result;
-    }
-
-    result.theta += dtheta;
-    if (options_.clamp_to_limits)
-      result.theta = chain_.clampToLimits(result.theta);
-    ++result.iterations;
-    ++result.speculation_load;
-  }
-
-  const JtIterationHead head =
-      jtIterationHead(chain_, result.theta, target, ws_);
-  ++result.fk_evaluations;
-  result.error = head.error;
-  result.status = head.error < options_.accuracy ? Status::kConverged
-                                                 : Status::kMaxIterations;
-  return result;
+        result.theta += dtheta;
+        return moved(result);
+      });
 }
 
 }  // namespace dadu::ik

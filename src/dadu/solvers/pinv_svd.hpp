@@ -9,24 +9,19 @@
 // Newton step inside the linearisation's region of validity.
 #pragma once
 
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class PinvSvdSolver final : public IkSolver {
+class PinvSvdSolver final : public JtSolver {
  public:
   PinvSvdSolver(kin::Chain chain, SolveOptions options,
                 double max_task_step = 0.1)
-      : chain_(std::move(chain)),
-        options_(options),
-        max_task_step_(max_task_step) {}
+      : JtSolver(std::move(chain), options), max_task_step_(max_task_step) {}
 
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "pinv-svd"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
 
   /// Total Jacobi sweeps spent in SVD across the last solve — the
   /// quantity the platform models price when estimating the serial
@@ -34,10 +29,7 @@ class PinvSvdSolver final : public IkSolver {
   long long lastSvdSweeps() const { return last_svd_sweeps_; }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   double max_task_step_;
-  JtWorkspace ws_;
   long long last_svd_sweeps_ = 0;
 };
 

@@ -18,7 +18,7 @@ constexpr std::size_t kLaneGrain = 8;
 
 QuickIkSolver::QuickIkSolver(kin::Chain chain, SolveOptions options,
                              Execution execution, std::size_t threads)
-    : chain_(std::move(chain)), options_(options), execution_(execution) {
+    : JtSolver(std::move(chain), options), execution_(execution) {
   if (options_.speculations < 1)
     throw std::invalid_argument("Quick-IK requires at least 1 speculation");
   if (execution_ == Execution::kThreadPool)
@@ -30,60 +30,22 @@ QuickIkSolver::QuickIkSolver(kin::Chain chain, SolveOptions options,
 
 SolveResult QuickIkSolver::solve(const linalg::Vec3& target,
                                  const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
-
   const int max_spec = options_.speculations;
   const auto lanes = static_cast<std::size_t>(max_spec);
-  SolveResult result;
-  result.theta = seed;
-  if (options_.record_history)
-    result.error_history.reserve(
-        static_cast<std::size_t>(std::max(options_.max_iterations, 0)) + 1);
 
-  if (options_.max_iterations <= 0) {
-    // Zero budget: report the seed's error honestly.
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    result.error = head.error;
-    result.status = head.error < options_.accuracy ? Status::kConverged
-                                                   : Status::kMaxIterations;
-    return result;
-  }
-
-  // One sweep closure per solve (not per iteration): every capture is
-  // stable across iterations — result.theta is updated in place — so
-  // the pool dispatch allocates nothing inside the iteration loop.
+  // One sweep closure per solve (not per iteration): it reads the
+  // iterate through `theta`, which the step points at the solve's
+  // result, so the pool dispatch allocates nothing inside the
+  // iteration loop.
+  const linalg::VecX* theta = nullptr;
   std::function<void(std::size_t, std::size_t)> pooled_sweep;
   if (execution_ == Execution::kThreadPool)
-    pooled_sweep = [this, &target, &result](std::size_t lo, std::size_t hi) {
-      batch_.evaluateLanes(chain_, result.theta, ws_.dtheta_base,
-                           alphas_.data(), target, options_.clamp_to_limits,
-                           lo, hi);
+    pooled_sweep = [this, &target, &theta](std::size_t lo, std::size_t hi) {
+      batch_.evaluateLanes(chain_, *theta, ws_.dtheta_base, alphas_.data(),
+                           target, options_.clamp_to_limits, lo, hi);
     };
 
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
-
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-    if (head.stalled) {
-      result.status = Status::kStalled;
-      return result;
-    }
-    // Watchdog: bail with the best-so-far iterate before paying for
-    // another speculative sweep.
-    if (options_.hasDeadline() && options_.deadlineExpired(clock())) {
-      result.status = Status::kTimedOut;
-      return result;
-    }
-
+  const auto step = [&](const JtIterationHead& head, SolveResult& result) {
     // Speculative search (Algorithm 1, lines 6-15): all Max candidates
     // advance through one batched chain walk.  Serial execution is a
     // single kernel call; the thread pool splits the batch into
@@ -97,6 +59,7 @@ SolveResult QuickIkSolver::solve(const linalg::Vec3& target,
       // chunks land on vector-register boundaries.
       const std::size_t grain =
           std::max(kLaneGrain, batch_.backend().laneMultiple());
+      theta = &result.theta;
       pool_->parallelForChunked(0, lanes, grain, pooled_sweep);
     } else {
       batch_.evaluateLanes(chain_, result.theta, ws_.dtheta_base,
@@ -122,27 +85,16 @@ SolveResult QuickIkSolver::solve(const linalg::Vec3& target,
     // (clamp_to_limits) is exempt: the projection legitimately visits
     // worse errors while sliding along the joint-limit boundary, and
     // adoption moves theta so the next sweep is not a repeat.
-    if (!options_.clamp_to_limits && !(error_k[best] < head.error)) {
-      result.status = Status::kStalled;
-      return result;
-    }
+    if (!options_.clamp_to_limits && !(error_k[best] < head.error))
+      return StepOutcome::kStalled;
 
+    // A winner under the accuracy ends the solve in iterate()
+    // (Algorithm 1 lines 12-13's early exit).
     batch_.candidateInto(best, result.theta);
     result.error = error_k[best];
-
-    if (error_k[best] < options_.accuracy) {  // line 12-13 early exit
-      result.status = Status::kConverged;
-      if (options_.record_history) result.error_history.push_back(result.error);
-      return result;
-    }
-  }
-
-  result.status = result.error < options_.accuracy ? Status::kConverged
-                                                   : Status::kMaxIterations;
-  // Budget exhausted after an adopting sweep: the adopted error was
-  // never recorded (the loop head only logs pre-sweep errors).
-  if (options_.record_history) result.error_history.push_back(result.error);
-  return result;
+    return StepOutcome::kMeasured;
+  };
+  return iterate(target, seed, headStalls, step);
 }
 
 }  // namespace dadu::ik

@@ -36,12 +36,11 @@
 
 #include "dadu/kinematics/forward_batch.hpp"
 #include "dadu/parallel/thread_pool.hpp"
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class QuickIkSolver final : public IkSolver {
+class QuickIkSolver final : public JtSolver {
  public:
   enum class Execution {
     kSerial,      ///< speculations evaluated inline on the caller
@@ -59,20 +58,12 @@ class QuickIkSolver final : public IkSolver {
   std::string name() const override {
     return execution_ == Execution::kSerial ? "quick-ik" : "quick-ik-mt";
   }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
-  void setDeadline(std::chrono::steady_clock::time_point d) override {
-    options_.deadline = d;
-  }
   Execution execution() const { return execution_; }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   Execution execution_;
   std::unique_ptr<par::ThreadPool> pool_;  // only for kThreadPool
 
-  JtWorkspace ws_;
   // Batched speculation workspace, sized once in the constructor and
   // reused every iteration: the SoA FK kernel (owns candidates,
   // positions and errors) and the alpha ladder.

@@ -8,9 +8,7 @@ namespace dadu::ik {
 QuickIkAdaptiveSolver::QuickIkAdaptiveSolver(kin::Chain chain,
                                              SolveOptions options,
                                              int min_speculations)
-    : chain_(std::move(chain)),
-      options_(options),
-      min_spec_(min_speculations) {
+    : JtSolver(std::move(chain), options), min_spec_(min_speculations) {
   if (options_.speculations < 1)
     throw std::invalid_argument(
         "Quick-IK (adaptive) requires at least 1 speculation");
@@ -25,36 +23,9 @@ QuickIkAdaptiveSolver::QuickIkAdaptiveSolver(kin::Chain chain,
 
 SolveResult QuickIkAdaptiveSolver::solve(const linalg::Vec3& target,
                                          const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
-
-  SolveResult result;
-  result.theta = seed;
-  if (options_.record_history)
-    result.error_history.reserve(
-        static_cast<std::size_t>(std::max(options_.max_iterations, 0)) + 1);
   int spec = options_.speculations;  // start wide, adapt down
 
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
-
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-    if (head.stalled) {
-      result.status = Status::kStalled;
-      return result;
-    }
-    // Watchdog: bail with the best-so-far iterate before the sweep.
-    if (options_.hasDeadline() && options_.deadlineExpired(clock())) {
-      result.status = Status::kTimedOut;
-      return result;
-    }
-
+  const auto step = [&](const JtIterationHead& head, SolveResult& result) {
     // Batched sweep over the iteration's speculation count: the kernel
     // is reshaped to `spec` lanes (allocation-free below the maximum)
     // and walks the chain once for all candidates.
@@ -77,25 +48,18 @@ SolveResult QuickIkAdaptiveSolver::solve(const linalg::Vec3& target,
 
     // Monotone descent guard: never adopt a candidate worse than the
     // pre-sweep error.  Unlike the fixed-width solver the ladder here
-    // can still change shape, so retry at full width; only a full-width
-    // sweep that fails to improve is a true stall.  Projected descent
+    // can still change shape, so retry at full width, keeping theta
+    // (result.error still holds head.error); only a full-width sweep
+    // that fails to improve is a true stall.  Projected descent
     // (clamp_to_limits) is exempt — see QuickIkSolver.
     if (!options_.clamp_to_limits && !(error_k[best] < head.error)) {
-      if (spec == options_.speculations) {
-        result.status = Status::kStalled;
-        return result;
-      }
+      if (spec == options_.speculations) return StepOutcome::kStalled;
       spec = options_.speculations;
-      continue;
+      return StepOutcome::kMeasured;
     }
 
     batch_.candidateInto(best, result.theta);
     result.error = error_k[best];
-    if (result.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      if (options_.record_history) result.error_history.push_back(result.error);
-      return result;
-    }
 
     // Adapt: boundary winner (top quarter of the range) means the full
     // Eq. 8 step is near-optimal — shrink the search; interior winner
@@ -106,14 +70,9 @@ SolveResult QuickIkAdaptiveSolver::solve(const linalg::Vec3& target,
     } else {
       spec = std::min(options_.speculations, spec * 2);
     }
-  }
-
-  result.status = result.error < options_.accuracy ? Status::kConverged
-                                                   : Status::kMaxIterations;
-  // Budget exhausted after an adopting sweep: the adopted error was
-  // never recorded (the loop head only logs pre-sweep errors).
-  if (options_.record_history) result.error_history.push_back(result.error);
-  return result;
+    return StepOutcome::kMeasured;
+  };
+  return iterate(target, seed, headStalls, step);
 }
 
 }  // namespace dadu::ik

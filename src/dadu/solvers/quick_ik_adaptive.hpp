@@ -15,12 +15,11 @@
 #include <vector>
 
 #include "dadu/kinematics/forward_batch.hpp"
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class QuickIkAdaptiveSolver final : public IkSolver {
+class QuickIkAdaptiveSolver final : public JtSolver {
  public:
   /// Speculation count stays within [min_speculations,
   /// options.speculations]; it starts at the maximum.
@@ -30,17 +29,9 @@ class QuickIkAdaptiveSolver final : public IkSolver {
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "quick-ik-adaptive"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
-  void setDeadline(std::chrono::steady_clock::time_point d) override {
-    options_.deadline = d;
-  }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   int min_spec_;
-  JtWorkspace ws_;
   // Batched speculation workspace: the kernel is re-shaped to the
   // iteration's speculation count (allocation-free below the maximum,
   // which the constructor warms up).

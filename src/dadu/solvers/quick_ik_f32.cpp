@@ -1,6 +1,5 @@
 #include "dadu/solvers/quick_ik_f32.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "dadu/kinematics/forward.hpp"
@@ -8,7 +7,7 @@
 namespace dadu::ik {
 
 QuickIkF32Solver::QuickIkF32Solver(kin::Chain chain, SolveOptions options)
-    : chain_(std::move(chain)), options_(options) {
+    : JtSolver(std::move(chain), options) {
   if (options_.speculations < 1)
     throw std::invalid_argument(
         "Quick-IK (f32) requires at least 1 speculation");
@@ -18,38 +17,11 @@ QuickIkF32Solver::QuickIkF32Solver(kin::Chain chain, SolveOptions options)
 
 SolveResult QuickIkF32Solver::solve(const linalg::Vec3& target,
                                     const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
-
   const int max_spec = options_.speculations;
   const auto lanes = static_cast<std::size_t>(max_spec);
-  SolveResult result;
-  result.theta = seed;
-  if (options_.record_history)
-    result.error_history.reserve(
-        static_cast<std::size_t>(std::max(options_.max_iterations, 0)) + 1);
 
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    // Serial head in double (SPU datapath).
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
-
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
-    if (head.stalled) {
-      result.status = Status::kStalled;
-      return result;
-    }
-    // Watchdog: bail with the best-so-far iterate before the sweep.
-    if (options_.hasDeadline() && options_.deadlineExpired(clock())) {
-      result.status = Status::kTimedOut;
-      return result;
-    }
-
+  // The serial head runs in double (SPU datapath) inside iterate().
+  const auto step = [&](const JtIterationHead& head, SolveResult& result) {
     // Speculative searches on the float datapath (SSU/FKU array): one
     // batched chain walk with every FK intermediate held in float.
     // Candidates are formed in double and never clamped, exactly like
@@ -79,26 +51,12 @@ SolveResult QuickIkF32Solver::solve(const linalg::Vec3& target,
         (target - kin::endEffectorPosition(chain_, candidate_)).norm();
     ++result.fk_evaluations;
 
-    if (!(candidate_error < head.error)) {
-      result.status = Status::kStalled;
-      return result;
-    }
+    if (!(candidate_error < head.error)) return StepOutcome::kStalled;
     result.theta = candidate_;
     result.error = candidate_error;
-
-    if (result.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      if (options_.record_history) result.error_history.push_back(result.error);
-      return result;
-    }
-  }
-
-  result.status = result.error < options_.accuracy ? Status::kConverged
-                                                   : Status::kMaxIterations;
-  // Budget exhausted after an adopting sweep: the adopted error was
-  // never recorded (the loop head only logs pre-sweep errors).
-  if (options_.record_history) result.error_history.push_back(result.error);
-  return result;
+    return StepOutcome::kMeasured;
+  };
+  return iterate(target, seed, headStalls, step);
 }
 
 }  // namespace dadu::ik

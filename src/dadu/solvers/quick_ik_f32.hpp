@@ -13,28 +13,19 @@
 #include <vector>
 
 #include "dadu/kinematics/forward_batch.hpp"
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class QuickIkF32Solver final : public IkSolver {
+class QuickIkF32Solver final : public JtSolver {
  public:
   QuickIkF32Solver(kin::Chain chain, SolveOptions options);
 
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "quick-ik-f32"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
-  void setDeadline(std::chrono::steady_clock::time_point d) override {
-    options_.deadline = d;
-  }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
-  JtWorkspace ws_;
   // Batched speculation workspace on the float datapath (candidates
   // and errors stay double, matching the scalar f32 path).
   kin::BatchedForward batch_{kin::BatchedForward::Precision::kF32};

@@ -18,81 +18,55 @@ void clampMaxAbs(linalg::VecX& w, double d) {
 
 SolveResult SdlsSolver::solve(const linalg::Vec3& target,
                               const linalg::VecX& seed) {
-  validateInputs(chain_, target, seed);
-
   const std::size_t n = chain_.dof();
-  SolveResult result;
-  result.theta = seed;
+  return iterate(
+      target, seed, neverStallsAtHead,
+      [this, n](const JtIterationHead& head, SolveResult& result) {
+        const linalg::Svd svd = linalg::svdJacobi(ws_.j);
 
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const JtIterationHead head =
-        jtIterationHead(chain_, result.theta, target, ws_);
-    ++result.fk_evaluations;
-    if (options_.record_history) result.error_history.push_back(head.error);
-    result.error = head.error;
+        // Column norms rho_j = ||J_j||: end-effector speed per unit
+        // motion of joint j; the scale SDLS measures joint steps against.
+        linalg::VecX rho(n);
+        for (std::size_t jcol = 0; jcol < n; ++jcol)
+          rho[jcol] = ws_.j.col3(jcol).norm();
 
-    if (head.error < options_.accuracy) {
-      result.status = Status::kConverged;
-      return result;
-    }
+        linalg::VecX dtheta(n);
+        bool any_direction = false;
+        for (std::size_t i = 0; i < svd.s.size(); ++i) {
+          const double sigma = svd.s[i];
+          if (sigma <= 1e-12) continue;
+          any_direction = true;
 
-    const linalg::Svd svd = linalg::svdJacobi(ws_.j);
+          // alpha_i = u_i . e  (residual component along this direction).
+          double alpha = 0.0;
+          for (std::size_t r = 0; r < 3; ++r)
+            alpha += svd.u(r, i) * head.error_vec[r];
 
-    // Column norms rho_j = ||J_j||: end-effector speed per unit motion
-    // of joint j; the scale SDLS measures joint steps against.
-    linalg::VecX rho(n);
-    for (std::size_t jcol = 0; jcol < n; ++jcol)
-      rho[jcol] = ws_.j.col3(jcol).norm();
+          // N_i = ||u_i|| = 1; M_i estimates the end-effector
+          // displacement a unit joint-space step in direction v_i can
+          // cause.
+          double m_i = 0.0;
+          for (std::size_t jcol = 0; jcol < n; ++jcol)
+            m_i += std::abs(svd.v(jcol, i)) * rho[jcol];
+          m_i /= sigma;
 
-    linalg::VecX dtheta(n);
-    bool any_direction = false;
-    for (std::size_t i = 0; i < svd.s.size(); ++i) {
-      const double sigma = svd.s[i];
-      if (sigma <= 1e-12) continue;
-      any_direction = true;
+          const double gamma_i = gamma_max_ * std::min(1.0, 1.0 / m_i);
 
-      // alpha_i = u_i . e  (residual component along this direction).
-      double alpha = 0.0;
-      for (std::size_t r = 0; r < 3; ++r) alpha += svd.u(r, i) * head.error_vec[r];
+          // phi_i = (alpha_i / sigma_i) v_i, clamped to gamma_i.
+          linalg::VecX phi(n);
+          const double scale = alpha / sigma;
+          for (std::size_t jcol = 0; jcol < n; ++jcol)
+            phi[jcol] = scale * svd.v(jcol, i);
+          clampMaxAbs(phi, gamma_i);
+          dtheta += phi;
+        }
 
-      // N_i = ||u_i|| = 1; M_i estimates the end-effector displacement
-      // a unit joint-space step in direction v_i can cause.
-      double m_i = 0.0;
-      for (std::size_t jcol = 0; jcol < n; ++jcol)
-        m_i += std::abs(svd.v(jcol, i)) * rho[jcol];
-      m_i /= sigma;
+        if (!any_direction) return StepOutcome::kStalled;
+        clampMaxAbs(dtheta, gamma_max_);
 
-      const double gamma_i = gamma_max_ * std::min(1.0, 1.0 / m_i);
-
-      // phi_i = (alpha_i / sigma_i) v_i, clamped to gamma_i.
-      linalg::VecX phi(n);
-      const double scale = alpha / sigma;
-      for (std::size_t jcol = 0; jcol < n; ++jcol)
-        phi[jcol] = scale * svd.v(jcol, i);
-      clampMaxAbs(phi, gamma_i);
-      dtheta += phi;
-    }
-
-    if (!any_direction) {
-      result.status = Status::kStalled;
-      return result;
-    }
-    clampMaxAbs(dtheta, gamma_max_);
-
-    result.theta += dtheta;
-    if (options_.clamp_to_limits)
-      result.theta = chain_.clampToLimits(result.theta);
-    ++result.iterations;
-    ++result.speculation_load;
-  }
-
-  const JtIterationHead head =
-      jtIterationHead(chain_, result.theta, target, ws_);
-  ++result.fk_evaluations;
-  result.error = head.error;
-  result.status = head.error < options_.accuracy ? Status::kConverged
-                                                 : Status::kMaxIterations;
-  return result;
+        result.theta += dtheta;
+        return moved(result);
+      });
 }
 
 }  // namespace dadu::ik

@@ -12,28 +12,22 @@
 // damping constant.
 #pragma once
 
-#include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
-class SdlsSolver final : public IkSolver {
+class SdlsSolver final : public JtSolver {
  public:
   SdlsSolver(kin::Chain chain, SolveOptions options,
              double gamma_max = 0.7853981633974483 /* pi/4 */)
-      : chain_(std::move(chain)), options_(options), gamma_max_(gamma_max) {}
+      : JtSolver(std::move(chain), options), gamma_max_(gamma_max) {}
 
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
   std::string name() const override { return "sdls"; }
-  const kin::Chain& chain() const override { return chain_; }
-  const SolveOptions& options() const override { return options_; }
 
  private:
-  kin::Chain chain_;
-  SolveOptions options_;
   double gamma_max_;
-  JtWorkspace ws_;
 };
 
 }  // namespace dadu::ik

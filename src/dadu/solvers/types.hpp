@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "dadu/linalg/vecx.hpp"
-#include "dadu/platform/clock.hpp"
 
 namespace dadu::ik {
 
@@ -20,22 +19,17 @@ struct SolveOptions {
   bool record_history = false;  ///< keep per-iteration error in the result
   bool clamp_to_limits = false; ///< project theta onto joint limits each step
   /// Cooperative watchdog: absolute wall-clock deadline for one solve.
-  /// The default (the epoch) means unbounded.  Watchdog-capable solvers
-  /// check this at each iteration head and stop with Status::kTimedOut,
+  /// The default (the epoch) means unbounded.  The Jacobian-transpose
+  /// family (JtSolver::iterate) checks it at each iteration head, after
+  /// the converged and stalled checks, and stops with Status::kTimedOut,
   /// returning the best-so-far theta/error instead of running the full
   /// iteration budget — the serving layer's defence against a runaway
-  /// solve outliving its request deadline.
+  /// solve outliving its request deadline.  Solvers outside the family
+  /// (CCD, the pose and tree solvers) ignore it.
   std::chrono::steady_clock::time_point deadline{};
 
   bool hasDeadline() const {
     return deadline != std::chrono::steady_clock::time_point{};
-  }
-  /// One clock read; only called when hasDeadline().  `clock` is the
-  /// Clock seam (null = real steady clock): the serving layer points
-  /// per-worker solvers at its own clock via IkSolver::setClock so the
-  /// watchdog fires on simulated time too.
-  bool deadlineExpired(const platform::Clock* clock = nullptr) const {
-    return platform::clockNow(clock) >= deadline;
   }
 };
 

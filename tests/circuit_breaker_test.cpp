@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "dadu/fault/fault.hpp"
+#include "dadu/ikacc/accelerator.hpp"
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/service/circuit_breaker.hpp"
@@ -366,21 +367,31 @@ TEST(SolverWatchdogTest, SetDeadlineOverridesOptionsAndClears) {
   ik::SolveOptions options;
   options.accuracy = 0.0;
   options.max_iterations = 100;
-  const auto solver = ik::makeSolver("quick-ik", chain, options);
   const auto target = runawayTarget(chain);
 
-  // An already-expired injected deadline beats the iteration budget.
-  solver->setDeadline(std::chrono::steady_clock::now() -
-                      std::chrono::milliseconds(1));
-  const auto timed_out = solver->solve(target, chain.zeroConfiguration());
-  EXPECT_EQ(timed_out.status, ik::Status::kTimedOut);
-  EXPECT_EQ(timed_out.iterations, 0);
+  // Every solver that runs the Jacobian-transpose iteration loop (all
+  // factory names but CCD) and IKAcc's model.
+  std::vector<std::unique_ptr<ik::IkSolver>> solvers;
+  for (const std::string& name : ik::solverNames())
+    if (name != "ccd") solvers.push_back(ik::makeSolver(name, chain, options));
+  solvers.push_back(std::make_unique<acc::IkAccelerator>(chain, options));
 
-  // Clearing restores the unbounded default: the budget decides again.
-  solver->setDeadline({});
-  const auto budget_bound = solver->solve(target, chain.zeroConfiguration());
-  EXPECT_EQ(budget_bound.status, ik::Status::kMaxIterations);
-  EXPECT_EQ(budget_bound.iterations, 100);
+  for (const auto& solver : solvers) {
+    const std::string name = solver->name();
+    // An already-expired injected deadline beats the iteration budget.
+    solver->setDeadline(std::chrono::steady_clock::now() -
+                        std::chrono::milliseconds(1));
+    const auto timed_out = solver->solve(target, chain.zeroConfiguration());
+    EXPECT_EQ(timed_out.status, ik::Status::kTimedOut) << name;
+    EXPECT_EQ(timed_out.iterations, 0) << name;
+
+    // Clearing restores the unbounded default: the budget decides again.
+    solver->setDeadline({});
+    const auto budget_bound =
+        solver->solve(target, chain.zeroConfiguration());
+    EXPECT_EQ(budget_bound.status, ik::Status::kMaxIterations) << name;
+    EXPECT_EQ(budget_bound.iterations, 100) << name;
+  }
 }
 
 TEST(ServiceWatchdogTest, RequestDeadlineSurfacesAsTimedOut) {

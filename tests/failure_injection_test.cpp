@@ -82,12 +82,16 @@ TEST_P(SolverFailureInjection, ZeroIterationBudget) {
   expectFinite(r.theta);
   // Seed configuration should be returned untouched.
   EXPECT_EQ(r.theta, task.seed);
+  // A zero budget is exhausted, not converged, and reports the seed's
+  // measured error.
+  EXPECT_EQ(r.status, Status::kMaxIterations);
+  const double seed_error =
+      (task.target - kin::endEffectorPosition(chain_, task.seed)).norm();
+  EXPECT_NEAR(r.error, seed_error, 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, SolverFailureInjection,
-                         ::testing::Values("jt-serial", "jt-fixed-alpha",
-                                           "quick-ik", "quick-ik-mt",
-                                           "pinv-svd", "dls", "sdls", "ccd"),
+                         ::testing::ValuesIn(solverNames()),
                          [](const auto& info) {
                            std::string n = info.param;
                            for (char& c : n)

@@ -5,6 +5,7 @@
 
 #include "dadu/ikacc/accelerator.hpp"
 #include "dadu/ikacc/scheduler.hpp"
+#include "dadu/ikacc/spu.hpp"
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/solvers/quick_ik.hpp"
 #include "dadu/workload/targets.hpp"
@@ -95,11 +96,25 @@ TEST(IkAccelerator, CycleAccountingIsConsistent) {
                                 s.selector_cycles);
   // Iterations recorded by the stats match the solver result.
   EXPECT_EQ(s.iterations, r.iterations);
+  // Every head is one SPU pass: the FK evaluations that are not
+  // speculative searches.
+  const SpuCost spu = spuIteration(AccConfig{}, chain.dof());
+  EXPECT_EQ(s.spu_cycles,
+            spu.cycles * (r.fk_evaluations - r.speculation_load));
   // Time = cycles / frequency.
   EXPECT_NEAR(s.time_ms, static_cast<double>(s.total_cycles) * 1e-6, 1e-12);
   // Utilisation is a fraction.
   EXPECT_GT(s.ssuUtilization(32), 0.0);
   EXPECT_LE(s.ssuUtilization(32), 1.0);
+
+  // A zero budget still measures the seed: exactly one SPU pass.
+  options.max_iterations = 0;
+  IkAccelerator idle(chain, options);
+  const auto r0 = idle.solve(task.target, task.seed);
+  const AccStats& s0 = idle.lastStats();
+  EXPECT_EQ(r0.fk_evaluations, 1);
+  EXPECT_EQ(s0.spu_cycles, spu.cycles);
+  EXPECT_EQ(s0.total_cycles, spu.cycles);
 }
 
 TEST(IkAccelerator, EnergyBreakdownPositiveAndBounded) {

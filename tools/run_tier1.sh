@@ -51,7 +51,9 @@ ctest --test-dir "${build_dir}" --output-on-failure -j
 # hosts with AVX2 — forced to avx2, whose vectorized walk trig is its
 # own explicit code.  The forced legs also re-run the suites that lean
 # hardest on the speculation path (IKAcc's functional model included),
-# proving solver results do not depend on the host ISA.
+# proving solver results do not depend on the host ISA.  The adaptive
+# solver reshapes the f64 walk's lane count every iteration, so its
+# suite rides along too.
 "${build_dir}/tests/kinematics_spec_backend_test"
 forced_backends="scalar"
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
@@ -60,7 +62,7 @@ fi
 for backend in ${forced_backends}; do
   for suite in kinematics_spec_backend_test kinematics_batch_fk_test \
       kinematics_walk_trig_test solvers_quick_ik_test service_batch_test \
-      ikacc_accelerator_test; do
+      ikacc_accelerator_test solvers_adaptive_test; do
     DADU_SPEC_BACKEND="${backend}" "${build_dir}/tests/${suite}"
   done
 done
