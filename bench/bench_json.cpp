@@ -2,23 +2,8 @@
 
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 
 namespace bench {
-
-namespace {
-
-void writeMetricRecords(std::ostream& out,
-                        const std::vector<MetricRecord>& records) {
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const MetricRecord& r = records[i];
-    out << "  {\"metric\": \"" << r.metric << "\", \"value\": "
-        << std::setprecision(6) << std::fixed << r.value << ", \"unit\": \""
-        << r.unit << "\"}" << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-}
-
-}  // namespace
 
 bool writeKernelJson(const std::string& path,
                      const std::vector<KernelRecord>& records) {
@@ -33,44 +18,6 @@ bool writeKernelJson(const std::string& path,
     if (!r.note.empty()) out << ", \"note\": \"" << r.note << "\"";
     out << "}" << (i + 1 < records.size() ? "," : "") << "\n";
   }
-  out << "]\n";
-  return out.good();
-}
-
-bool writeMetricsJson(const std::string& path,
-                      const std::vector<MetricRecord>& records) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "[\n";
-  writeMetricRecords(out, records);
-  out << "]\n";
-  return out.good();
-}
-
-bool appendMetricsJson(const std::string& path,
-                       const std::vector<MetricRecord>& records) {
-  std::ifstream in(path);
-  if (!in) return writeMetricsJson(path, records);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  in.close();
-  std::string existing = buf.str();
-  const std::size_t close = existing.rfind(']');
-  if (close == std::string::npos) return writeMetricsJson(path, records);
-  existing.erase(close);
-  // Trim trailing whitespace so the comma lands right after the last
-  // record, keeping the file diff-stable with writeMetricsJson output.
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' '))
-    existing.pop_back();
-  const bool had_records = !existing.empty() && existing.back() == '}';
-
-  std::ofstream out(path);
-  if (!out) return false;
-  out << existing;
-  if (had_records && !records.empty()) out << ",";
-  out << "\n";
-  writeMetricRecords(out, records);
   out << "]\n";
   return out.good();
 }

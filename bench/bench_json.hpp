@@ -1,7 +1,6 @@
-// Machine-readable bench output: tiny writers for the BENCH_*.json
-// performance trajectory files future PRs diff against.
-//   BENCH_kernels.json — array of {"kernel", "dof", "k", "ns_per_op"}
-//   BENCH_service.json — array of {"metric", "value", "unit"}
+// Machine-readable kernel-bench output: the writer behind batch_fk's
+// --json, which emits BENCH_kernels.json as an array of
+// {"kernel", "dof", "k", "ns_per_op"} records.
 #pragma once
 
 #include <string>
@@ -25,25 +24,5 @@ struct KernelRecord {
 /// the file cannot be written.
 bool writeKernelJson(const std::string& path,
                      const std::vector<KernelRecord>& records);
-
-/// One named scalar (system-level benches: throughput, latency
-/// percentiles, hit rates — things that are not per-kernel ns/op).
-struct MetricRecord {
-  std::string metric;  ///< e.g. "service_solves_per_sec_cache_on"
-  double value = 0.0;
-  std::string unit;    ///< "solves/s", "ms", "ratio", "iters", ...
-};
-
-/// Write `records` to `path` as pretty-printed JSON.  Returns false if
-/// the file cannot be written.
-bool writeMetricsJson(const std::string& path,
-                      const std::vector<MetricRecord>& records);
-
-/// Append `records` to an existing metrics JSON file written by
-/// writeMetricsJson (splices before the closing bracket), so multiple
-/// bench legs can share one BENCH_*.json.  Falls back to a plain write
-/// when `path` does not exist or is not a metrics array.
-bool appendMetricsJson(const std::string& path,
-                       const std::vector<MetricRecord>& records);
 
 }  // namespace bench

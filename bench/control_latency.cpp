@@ -11,8 +11,8 @@
 #include <numbers>
 
 #include "bench_common.hpp"
+#include "dadu/core/control_loop.hpp"
 #include "dadu/report/table.hpp"
-#include "dadu/simulation/control_loop.hpp"
 
 int main(int argc, char** argv) {
   const auto args = bench::parseArgs(argc, argv, "control_latency");
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const dadu::linalg::Vec3 center{0.45 * chain.maxReach(), 0.0,
                                   0.25 * chain.maxReach()};
   const double radius = 0.15 * chain.maxReach();
-  const dadu::sim::Reference reference = [&](double t) {
+  const dadu::Reference reference = [&](double t) {
     constexpr double kOmega = 2.0 * std::numbers::pi / 4.0;
     return center + dadu::linalg::Vec3{radius * std::cos(kOmega * t),
                                        radius * std::sin(kOmega * t), 0.0};
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   dadu::ik::SolveOptions options;
   options.accuracy = 5e-3;
   dadu::ik::QuickIkSolver solver(chain, options);
-  const dadu::sim::IkOracle oracle =
+  const dadu::IkOracle oracle =
       [&](const dadu::linalg::Vec3& target, const dadu::linalg::VecX& warm) {
         return solver.solve(target, warm).theta;
       };
@@ -62,11 +62,11 @@ int main(int argc, char** argv) {
       {"platform", "latency", "steady RMS err (m)", "max err (m)",
        "IK solves"});
   for (const Platform& p : platforms) {
-    dadu::sim::ControlLoopConfig config;
+    dadu::ControlLoopConfig config;
     config.solver_latency_s = p.latency_s;
     config.duration_s = duration;
-    const auto r = dadu::sim::simulateTracking(chain, reference, oracle, q0,
-                                               config);
+    const auto r = dadu::simulateTracking(chain, reference, oracle, q0,
+                                          config);
     // Steady state: second half of the trace.
     double sq = 0.0;
     const std::size_t half = r.error_trace.size() / 2;

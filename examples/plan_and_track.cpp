@@ -57,11 +57,11 @@ int main() {
     task_path.push_back(dadu::kin::endEffectorPosition(chain, q));
 
   dadu::ik::QuickIkSolver tracker(chain, {});
-  const dadu::sim::IkOracle oracle =
+  const dadu::IkOracle oracle =
       [&](const dadu::linalg::Vec3& target, const dadu::linalg::VecX& warm) {
         return tracker.solve(target, warm).theta;
       };
-  const dadu::sim::Reference reference = [&](double t) {
+  const dadu::Reference reference = [&](double t) {
     const double s = std::min(t / 3.0, 1.0) *
                      static_cast<double>(task_path.size() - 1);
     const std::size_t i = std::min(static_cast<std::size_t>(s),
@@ -69,11 +69,11 @@ int main() {
     const double frac = s - static_cast<double>(i);
     return task_path[i] + (task_path[i + 1] - task_path[i]) * frac;
   };
-  dadu::sim::ControlLoopConfig config;
+  dadu::ControlLoopConfig config;
   config.solver_latency_s = 0.5e-3;  // IKAcc class
   config.duration_s = 3.5;
-  const auto run = dadu::sim::simulateTracking(chain, reference, oracle,
-                                               start, config);
+  const auto run = dadu::simulateTracking(chain, reference, oracle,
+                                          start, config);
   std::printf("3. Execute: final task error %.1f mm after %.1f s (%d IK "
               "solves at 0.5 ms latency)\n",
               run.error_trace.back() * 1e3, config.duration_s, run.ik_solves);

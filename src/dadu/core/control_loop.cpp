@@ -1,11 +1,11 @@
-#include "dadu/simulation/control_loop.hpp"
+#include "dadu/core/control_loop.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "dadu/kinematics/forward.hpp"
 
-namespace dadu::sim {
+namespace dadu {
 
 ControlLoopResult simulateTracking(const kin::Chain& chain,
                                    const Reference& reference,
@@ -62,4 +62,4 @@ ControlLoopResult simulateTracking(const kin::Chain& chain,
   return result;
 }
 
-}  // namespace dadu::sim
+}  // namespace dadu

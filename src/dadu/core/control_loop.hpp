@@ -21,7 +21,7 @@
 #include "dadu/linalg/vec.hpp"
 #include "dadu/linalg/vecx.hpp"
 
-namespace dadu::sim {
+namespace dadu {
 
 struct ControlLoopConfig {
   double tick_s = 1e-3;          ///< controller period (1 kHz)
@@ -56,4 +56,4 @@ ControlLoopResult simulateTracking(const kin::Chain& chain,
                                    const linalg::VecX& q0,
                                    const ControlLoopConfig& config);
 
-}  // namespace dadu::sim
+}  // namespace dadu

@@ -131,7 +131,7 @@
 #include "dadu/core/retiming.hpp"
 
 // Control-loop co-simulation.
-#include "dadu/simulation/control_loop.hpp"
+#include "dadu/core/control_loop.hpp"
 
 // Motion planning substrate.
 #include "dadu/planning/rrt.hpp"

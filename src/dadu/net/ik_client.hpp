@@ -13,10 +13,9 @@
 //
 // connect() retries with backoff — the standard "server still binding"
 // race killer for tests and load generators.  The client is blocking
-// by design: callers that want concurrency open more connections
-// (that is what bench/net_throughput does); the server side is the
-// non-blocking half of the system.  Not thread-safe: one thread per
-// client.
+// by design: callers that want concurrency open more connections, one
+// thread each; the server side is the non-blocking half of the system.
+// Not thread-safe: one thread per client.
 #pragma once
 
 #include <cstdint>

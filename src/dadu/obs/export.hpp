@@ -8,9 +8,8 @@
 //     `*_total`, histograms as cumulative `_bucket{le=...}` series with
 //     `_sum`/`_count`), ready for a scrape endpoint or textfile
 //     collector;
-//   renderJson — the BENCH_service.json record shape
-//     ([{"metric","value","unit"}, ...]) so exported stats diff against
-//     the repo's performance-trajectory files with the same tooling;
+//   renderJson — a flat array of {"metric","value","unit"} records,
+//     easy to diff and to load from scripts;
 //   renderText — human-readable table with ASCII bucket bars for
 //     terminal inspection (the CLI `stats` command).
 #pragma once
@@ -62,9 +61,8 @@ struct MetricsSnapshot {
 /// final `+Inf` bound.  Names are sanitized to [a-zA-Z0-9_:].
 std::string renderPrometheus(const MetricsSnapshot& snapshot);
 
-/// JSON array of {"metric", "value", "unit"} records (the
-/// BENCH_service.json shape).  Histograms flatten to
-/// name_{count,mean,p50,p90,p99,max} records.
+/// JSON array of {"metric", "value", "unit"} records.  Histograms
+/// flatten to name_{count,mean,p50,p90,p99,max} records.
 std::string renderJson(const MetricsSnapshot& snapshot);
 
 /// Human-readable rendering: counters and gauges as aligned rows,

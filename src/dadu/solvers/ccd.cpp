@@ -24,6 +24,10 @@ SolveResult CcdSolver::solve(const linalg::Vec3& target,
       result.status = Status::kConverged;
       return result;
     }
+    if (options_.hasDeadline() && clockNow() >= options_.deadline) {
+      result.status = Status::kTimedOut;
+      return result;
+    }
 
     // One sweep: end-effector side towards the base.
     for (std::size_t idx = n; idx-- > 0;) {

@@ -7,7 +7,9 @@
 // the joint->end-effector vector with the joint->target vector in the
 // plane perpendicular to the joint axis (closed form via atan2).
 // Iteration counts are comparable to other first-order methods but
-// each sweep costs O(N) FK updates, i.e. O(N^2) work.
+// each sweep costs O(N) FK updates, i.e. O(N^2) work.  The watchdog
+// deadline is checked once per sweep, after the converged check (the
+// order JtSolver::iterate uses).
 #pragma once
 
 #include "dadu/solvers/ik_solver.hpp"
@@ -25,6 +27,9 @@ class CcdSolver final : public IkSolver {
   std::string name() const override { return "ccd"; }
   const kin::Chain& chain() const override { return chain_; }
   const SolveOptions& options() const override { return options_; }
+  void setDeadline(std::chrono::steady_clock::time_point d) override {
+    options_.deadline = d;
+  }
 
  private:
   kin::Chain chain_;

@@ -68,10 +68,11 @@ class IkSolver {
   /// Arm (or clear, with the default time_point) the cooperative
   /// watchdog deadline for subsequent solve() calls — the per-request
   /// hook the serving layer uses on its per-worker solver instances.
-  /// JtSolver's iteration loop checks it at every head.  The base
-  /// implementation ignores it, so the solvers that do not override it
-  /// (CCD, RestartSolver, the pose and tree solvers) run to their
-  /// iteration budget.
+  /// JtSolver's iteration loop checks it at every head, CCD once per
+  /// sweep, and RestartSolver forwards it to its inner solver.  The
+  /// base implementation ignores it, so the solvers that do not
+  /// override it (the pose and tree solvers) run to their iteration
+  /// budget.
   virtual void setDeadline(std::chrono::steady_clock::time_point) {}
 
   /// Point the solver at a Clock (null = real steady clock).  Watchdog

@@ -41,7 +41,7 @@ SolveResult RestartSolver::solve(const linalg::Vec3& target,
   long long total_iterations = best.iterations;
   long long total_fk = best.fk_evaluations;
   long long total_load = best.speculation_load;
-  if (best.converged()) return best;
+  if (best.converged() || best.status == Status::kTimedOut) return best;
 
   SplitMix64 rng{restart_seed_ ^
                  (static_cast<std::uint64_t>(
@@ -59,8 +59,13 @@ SolveResult RestartSolver::solve(const linalg::Vec3& target,
     total_iterations += r.iterations;
     total_fk += r.fk_evaluations;
     total_load += r.speculation_load;
+    const bool timed_out = r.status == Status::kTimedOut;
     if (r.error < best.error || r.converged()) best = std::move(r);
     if (best.converged()) break;
+    if (timed_out) {
+      best.status = Status::kTimedOut;
+      break;
+    }
   }
 
   best.iterations = static_cast<int>(total_iterations);

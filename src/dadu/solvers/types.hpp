@@ -24,8 +24,8 @@ struct SolveOptions {
   /// the converged and stalled checks, and stops with Status::kTimedOut,
   /// returning the best-so-far theta/error instead of running the full
   /// iteration budget — the serving layer's defence against a runaway
-  /// solve outliving its request deadline.  Solvers outside the family
-  /// (CCD, the pose and tree solvers) ignore it.
+  /// solve outliving its request deadline.  CCD checks it once per
+  /// sweep in the same order; the pose and tree solvers ignore it.
   std::chrono::steady_clock::time_point deadline{};
 
   bool hasDeadline() const {

@@ -369,11 +369,11 @@ TEST(SolverWatchdogTest, SetDeadlineOverridesOptionsAndClears) {
   options.max_iterations = 100;
   const auto target = runawayTarget(chain);
 
-  // Every solver that runs the Jacobian-transpose iteration loop (all
-  // factory names but CCD) and IKAcc's model.
+  // Every factory solver (the Jacobian-transpose family and CCD) and
+  // IKAcc's model.
   std::vector<std::unique_ptr<ik::IkSolver>> solvers;
   for (const std::string& name : ik::solverNames())
-    if (name != "ccd") solvers.push_back(ik::makeSolver(name, chain, options));
+    solvers.push_back(ik::makeSolver(name, chain, options));
   solvers.push_back(std::make_unique<acc::IkAccelerator>(chain, options));
 
   for (const auto& solver : solvers) {

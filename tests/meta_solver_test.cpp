@@ -1,6 +1,8 @@
 // Restart meta-solver and parallel batch-runner tests.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "dadu/core/batch_runner.hpp"
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/solvers/factory.hpp"
@@ -68,6 +70,22 @@ TEST(RestartSolver, DeterministicRestartSequence) {
   const auto rb = b.solve({0.5, 0.0, 0.0}, chain.zeroConfiguration());
   EXPECT_EQ(ra.theta, rb.theta);
   EXPECT_EQ(a.lastAttempts(), b.lastAttempts());
+}
+
+TEST(RestartSolver, ForwardsDeadlineAndStopsAfterTimeout) {
+  // An expired deadline set on the wrapper reaches the inner solver,
+  // and the timed-out first attempt starts no restart.
+  const auto chain = kin::makeSerpentine(12);
+  SolveOptions options;
+  options.accuracy = 0.0;
+  RestartSolver solver(std::make_unique<QuickIkSolver>(chain, options), 4);
+  solver.setDeadline(std::chrono::steady_clock::now() -
+                     std::chrono::milliseconds(1));
+  const auto task = workload::generateTask(chain, 0);
+  const auto r = solver.solve(task.target, task.seed);
+  EXPECT_EQ(r.status, Status::kTimedOut);
+  EXPECT_EQ(r.iterations, 0);
+  EXPECT_EQ(solver.lastAttempts(), 1);
 }
 
 TEST(RestartSolver, NameAdvertisesWrapping) {

@@ -1,8 +1,9 @@
 // Loopback integration tests for the dadu_net stack: a real IkServer
 // on an ephemeral 127.0.0.1 port, real IkClient connections, real
 // solves underneath.  Covers the acceptance criteria of the serving
-// front-end: bit-identical round trips, malformed-frame isolation,
-// slow-reader backpressure, and graceful drain under load.
+// front-end: bit-identical round trips, burst coalescing under
+// pipelined load, malformed-frame isolation, slow-reader backpressure,
+// and graceful drain under load.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -25,6 +26,7 @@
 #include "dadu/solvers/factory.hpp"
 #include "dadu/workload/targets.hpp"
 #include "one_spec_router.hpp"
+#include "pipelined_load.hpp"
 
 namespace dadu::net {
 namespace {
@@ -171,6 +173,24 @@ TEST(NetLoopbackTest, PipelinedRepliesMatchByIdInAnyOrder) {
     EXPECT_TRUE(bitIdentical(got.result.theta, expected.result.theta))
         << "request " << i;
   }
+}
+
+TEST(NetLoopbackTest, PipelinedLoadCoalescesIntoBursts) {
+  // 8 connections x 8 pipelined requests against one lane with 16-lane
+  // bursts and a 100 us linger: every request is solved exactly once,
+  // and queue coalescing engages (mean burst occupancy > 1).
+  const kin::Chain chain = kin::makeSerpentine(12);
+  service::ServiceConfig config = serviceConfig();
+  config.max_batch = 16;
+  config.batch_wait_us = 100;
+  test_support::OneSpecRouter stack(chain, config);
+  IkServer server(*stack.router);
+  server.start();
+  EXPECT_EQ(test_support::drivePipelinedLoad(server.port(), chain, 8, 8, 64),
+            512u);
+  server.stop();
+  stack.router->stop();
+  EXPECT_GT(stack.service().stats().meanBatchOccupancy(), 1.0);
 }
 
 // -------------------------------------------------------- abuse / limits

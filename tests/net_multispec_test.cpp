@@ -5,7 +5,9 @@
 //     every other pipelined request answered, connection survives —
 //     and the dadu_net_spec_mismatch counter increments;
 //   - routing through one multi-spec server is bit-identical to
-//     solving each request directly with the spec's solver.
+//     solving each request directly with the spec's solver;
+//   - under equal pipelined load, queue coalescing engages on every
+//     lane, not just in aggregate.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -23,6 +25,7 @@
 #include "dadu/service/ik_service.hpp"
 #include "dadu/solvers/quick_ik.hpp"
 #include "dadu/workload/targets.hpp"
+#include "pipelined_load.hpp"
 
 namespace dadu::net {
 namespace {
@@ -33,14 +36,14 @@ using registry::SpecRouter;
 
 const std::vector<std::size_t> kDofs = {4, 6, 9};
 
-RobotSpecRegistry makeRegistry() {
+RobotSpecRegistry makeRegistry(const std::vector<std::size_t>& dofs) {
   RobotSpecRegistry reg;
-  for (std::size_t i = 0; i < kDofs.size(); ++i) {
+  for (std::size_t i = 0; i < dofs.size(); ++i) {
     RobotSpec spec;
     spec.id = static_cast<std::uint32_t>(i);
-    spec.name = "serp" + std::to_string(kDofs[i]);
-    spec.chain_spec = "serpentine:" + std::to_string(kDofs[i]);
-    spec.chain = kin::makeSerpentine(kDofs[i]);
+    spec.name = "spec" + std::to_string(i);
+    spec.chain_spec = "serpentine:" + std::to_string(dofs[i]);
+    spec.chain = kin::makeSerpentine(dofs[i]);
     reg.add(std::move(spec));
   }
   return reg;
@@ -64,16 +67,22 @@ bool bitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
   return true;
 }
 
-/// One multi-spec server on an ephemeral loopback port.
+/// One multi-spec server (one serpentine per entry of `dofs`, one
+/// worker per lane) on an ephemeral loopback port.
 struct MultiLoopback {
-  RobotSpecRegistry reg = makeRegistry();
+  RobotSpecRegistry reg;
   std::unique_ptr<SpecRouter> router;
   std::unique_ptr<IkServer> server;
 
-  MultiLoopback() {
+  explicit MultiLoopback(const std::vector<std::size_t>& dofs = kDofs,
+                         std::size_t max_batch = 1,
+                         std::uint32_t batch_wait_us = 0)
+      : reg(makeRegistry(dofs)) {
     registry::RouterConfig config;
     config.base.workers = 1;
     config.base.enable_seed_cache = false;
+    config.base.max_batch = max_batch;
+    config.base.batch_wait_us = batch_wait_us;
     router = std::make_unique<SpecRouter>(reg, config);
     server = std::make_unique<IkServer>(*router);
     server->start();
@@ -164,6 +173,21 @@ TEST(NetMultiSpec, RoutedSolvesAreBitIdenticalToDedicatedServers) {
       for (std::size_t j = 0; j < b.size(); ++j) b[j] = expected.theta[j];
       EXPECT_TRUE(bitIdentical(a, b)) << spec.name << " task " << i;
     }
+  }
+}
+
+TEST(NetMultiSpec, EqualLoadCoalescesOnEveryLane) {
+  // Two 12-DOF specs; connection c drives spec c % 2, so each lane
+  // serves 4 connections x 8 pipelined requests.
+  MultiLoopback loop({12, 12}, /*max_batch=*/16, /*batch_wait_us=*/100);
+  EXPECT_EQ(test_support::drivePipelinedLoad(
+                loop.server->port(), loop.reg.specs()[0].chain, 8, 8, 64, 2),
+            512u);
+  loop.server->stop();
+  loop.router->stop();
+  for (const auto& lane : loop.router->perSpecStats()) {
+    EXPECT_EQ(lane.stats.solved, 256u) << lane.spec->name;
+    EXPECT_GT(lane.stats.meanBatchOccupancy(), 1.0) << lane.spec->name;
   }
 }
 

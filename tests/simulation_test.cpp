@@ -5,12 +5,12 @@
 #include <cmath>
 #include <numbers>
 
+#include "dadu/core/control_loop.hpp"
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/presets.hpp"
-#include "dadu/simulation/control_loop.hpp"
 #include "dadu/solvers/quick_ik.hpp"
 
-namespace dadu::sim {
+namespace dadu {
 namespace {
 
 struct Rig {
@@ -121,4 +121,4 @@ TEST(ControlLoop, RateLimitBoundsJointMotion) {
 }
 
 }  // namespace
-}  // namespace dadu::sim
+}  // namespace dadu

@@ -89,20 +89,3 @@ for scenario in chaos multispec; do
   fi
   echo "sim determinism gate (${scenario}): ok ($(grep -c '' "${sim_dir}/${scenario}-a.trace") trace lines identical)"
 done
-
-# Optional perf-trajectory step: DADU_RUN_BENCH=1 runs the wire-level
-# load generator (64 pipelined TCP connections against a loopback
-# IkServer) and leaves BENCH_net.json next to the build dir for later
-# PRs to diff against.  --require-batched doubles as the batching
-# smoke: the run fails unless queue coalescing actually engaged (mean
-# batch occupancy > 1).
-if [[ "${DADU_RUN_BENCH:-0}" == "1" ]]; then
-  "${build_dir}/bench/net_throughput" --quick --require-batched \
-    --json "${build_dir}/BENCH_net.json"
-  # Multi-spec leg: the same load split evenly across two registry
-  # specs behind one server.  Per-spec req/s is appended to the JSON
-  # (net_requests_per_sec_spec<k>) so regressions in the routing layer
-  # show up as a per-lane throughput drop at equal per-spec load.
-  "${build_dir}/bench/net_throughput" --quick --spec-mix 2 \
-    --require-batched --json-append "${build_dir}/BENCH_net.json"
-fi
