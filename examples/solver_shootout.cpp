@@ -26,10 +26,6 @@ void runOn(const dadu::kin::Chain& chain, int targets) {
   Table table({"solver", "conv%", "iters", "load(spec*iter)", "err(mm)",
                "ms/solve"});
   for (const std::string& name : dadu::ik::solverNames()) {
-    // Skip the thread-pool variant here: identical iterations to
-    // quick-ik, only timing differs, and the shootout is about
-    // algorithm behaviour.
-    if (name == "quick-ik-mt") continue;
     auto solver = dadu::ik::makeSolver(name, chain, options);
 
     std::vector<dadu::ik::SolveResult> results;

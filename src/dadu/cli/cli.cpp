@@ -218,6 +218,14 @@ int cmdAccel(const kin::Chain& chain,
   return r.converged() ? 0 : 1;
 }
 
+/// Serving commands build their solvers on worker threads, where a
+/// factory throw would end the process; check the name up front.
+void requireKnownSolver(const std::string& name) {
+  const std::vector<std::string> names = ik::solverNames();
+  if (std::find(names.begin(), names.end(), name) == names.end())
+    throw std::invalid_argument("unknown IK solver: " + name);
+}
+
 /// Result of one in-process serving run (serve-bench / stats share it).
 struct ServeRun {
   service::ServiceStats stats;
@@ -280,6 +288,7 @@ ServeRun runServeWorkload(const kin::Chain& chain,
   ik::SolveOptions solve_options;
   solve_options.max_iterations = std::stoi(optional(opts, "max-iter", "10000"));
   run.solver_name = optional(opts, "solver", "quick-ik");
+  requireKnownSolver(run.solver_name);
 
   service::ServiceConfig config;
   config.workers =
@@ -644,6 +653,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       solve_options.max_iterations =
           std::stoi(optional(opts, "max-iter", "10000"));
       const std::string solver_name = optional(opts, "solver", "quick-ik");
+      requireKnownSolver(solver_name);
       registry::RobotSpecRegistry registry;
       for (std::size_t i = 1; i + 1 < args.size(); i += 2)
         if (args[i] == "--robot")

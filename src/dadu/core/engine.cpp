@@ -11,7 +11,6 @@ namespace dadu {
 std::string toString(Backend b) {
   switch (b) {
     case Backend::kCpuSerial: return "cpu-serial";
-    case Backend::kCpuParallel: return "cpu-parallel";
     case Backend::kIkAcc: return "ikacc";
     case Backend::kJtSerial: return "jt-serial";
     case Backend::kPinvSvd: return "pinv-svd";
@@ -23,12 +22,7 @@ IkEngine::IkEngine(kin::Chain chain, Backend backend, ik::SolveOptions options)
     : chain_(std::move(chain)), backend_(backend), options_(options) {
   switch (backend_) {
     case Backend::kCpuSerial:
-      solver_ = std::make_unique<ik::QuickIkSolver>(
-          chain_, options_, ik::QuickIkSolver::Execution::kSerial);
-      break;
-    case Backend::kCpuParallel:
-      solver_ = std::make_unique<ik::QuickIkSolver>(
-          chain_, options_, ik::QuickIkSolver::Execution::kThreadPool);
+      solver_ = std::make_unique<ik::QuickIkSolver>(chain_, options_);
       break;
     case Backend::kIkAcc:
       solver_ = std::make_unique<acc::IkAccelerator>(chain_, options_);

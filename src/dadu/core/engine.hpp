@@ -20,11 +20,10 @@ namespace dadu {
 
 /// Backend selection for the engine.
 enum class Backend {
-  kCpuSerial,    ///< Quick-IK, speculations inline ("Atom" config)
-  kCpuParallel,  ///< Quick-IK on a thread pool ("TX1" config, CPU threads)
-  kIkAcc,        ///< Quick-IK on the simulated accelerator
-  kJtSerial,     ///< baseline: original Jacobian transpose
-  kPinvSvd,      ///< baseline: SVD pseudoinverse
+  kCpuSerial,  ///< Quick-IK, speculations inline ("Atom" config)
+  kIkAcc,      ///< Quick-IK on the simulated accelerator
+  kJtSerial,   ///< baseline: original Jacobian transpose
+  kPinvSvd,    ///< baseline: SVD pseudoinverse
 };
 
 std::string toString(Backend b);

@@ -52,7 +52,6 @@
 // Solvers (the paper's algorithm and every baseline).
 #include "dadu/solvers/ccd.hpp"
 #include "dadu/solvers/dls.hpp"
-#include "dadu/solvers/dls_weighted.hpp"
 #include "dadu/solvers/factory.hpp"
 #include "dadu/solvers/ik_solver.hpp"
 #include "dadu/solvers/jt_eq8.hpp"
@@ -65,7 +64,6 @@
 #include "dadu/solvers/quick_ik_f32.hpp"
 #include "dadu/solvers/quick_ik_adaptive.hpp"
 #include "dadu/solvers/quick_ik_tree.hpp"
-#include "dadu/solvers/rmrc.hpp"
 #include "dadu/solvers/sdls.hpp"
 #include "dadu/solvers/types.hpp"
 
@@ -128,7 +126,6 @@
 #include "dadu/core/batch_runner.hpp"
 #include "dadu/core/engine.hpp"
 #include "dadu/core/trajectory_solver.hpp"
-#include "dadu/core/retiming.hpp"
 
 // Control-loop co-simulation.
 #include "dadu/core/control_loop.hpp"

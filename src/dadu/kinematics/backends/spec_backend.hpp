@@ -55,8 +55,7 @@ struct SpecLaneBlock {
 
 /// One speculation kernel.  Implementations are stateless and
 /// thread-safe: concurrent calls over disjoint lane ranges of the same
-/// workspace are race-free (that is how the thread-pool solver splits
-/// a sweep).
+/// workspace are race-free.
 class SpecBackend {
  public:
   virtual ~SpecBackend() = default;

@@ -21,7 +21,7 @@ void BatchedForward::reset(const Chain& chain, std::size_t lanes) {
   // 64-byte aligned).  Padding lanes are never computed or read.
   const std::size_t mult = std::max<std::size_t>(backend_->laneMultiple(), 1);
   stride_ = ((lanes + mult - 1) / mult) * mult;
-  max_walk_slice_lanes_.store(0, std::memory_order_relaxed);
+  max_walk_slice_lanes_ = 0;
   cand_.resize(dof_ * stride_);
   errors_.resize(stride_);
   if (precision_ == Precision::kF64) {
@@ -45,16 +45,6 @@ void BatchedForward::reset(const Chain& chain, std::size_t lanes) {
   }
 }
 
-void BatchedForward::noteSlice(std::size_t lanes) {
-  // Relaxed max-update: the seam is a diagnostic high-water mark, and
-  // concurrent pool workers may race to publish their slice sizes.
-  std::size_t seen = max_walk_slice_lanes_.load(std::memory_order_relaxed);
-  while (lanes > seen &&
-         !max_walk_slice_lanes_.compare_exchange_weak(
-             seen, lanes, std::memory_order_relaxed)) {
-  }
-}
-
 void BatchedForward::slicedWalk(const Chain& chain, const linalg::VecX& theta,
                                 const linalg::VecX& dtheta,
                                 const double* alpha,
@@ -73,7 +63,7 @@ void BatchedForward::slicedWalk(const Chain& chain, const linalg::VecX& theta,
   // Lanes are independent, so any split produces identical results.
   for (std::size_t s = lo; s < hi; s += kMaxWalkSliceLanes) {
     const std::size_t e = std::min(hi, s + kMaxWalkSliceLanes);
-    noteSlice(e - s);
+    max_walk_slice_lanes_ = std::max(max_walk_slice_lanes_, e - s);
     if (precision_ == Precision::kF64) {
       backend_->walkLanes(chain, block, theta, dtheta, alpha,
                           clamp_to_limits, s, e);

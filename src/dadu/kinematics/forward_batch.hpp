@@ -23,15 +23,8 @@
 // cos/sin of the fixed link twist alpha happen once per joint instead
 // of once per joint per candidate, and no candidate VecX or Mat4
 // temporaries exist at all.
-//
-// The kernel evaluates an arbitrary contiguous lane range so a thread
-// pool can split the batch into per-worker chunks that write disjoint
-// slices of the shared workspace — lane chunks, not per-candidate
-// closures.  Results are identical regardless of the split: each lane
-// is written exactly once, by whichever caller owns its range.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
@@ -89,9 +82,7 @@ class BatchedForward {
   /// since the last reset() — the cache-residency seam: stays at
   /// or below kMaxWalkSliceLanes no matter how large a lane range or
   /// group the caller passes, in either precision.
-  std::size_t maxWalkSliceLanes() const {
-    return max_walk_slice_lanes_.load(std::memory_order_relaxed);
-  }
+  std::size_t maxWalkSliceLanes() const { return max_walk_slice_lanes_; }
 
   /// Size the workspace for `lanes` candidates over `chain`.  Call
   /// once before evaluateLanes (and again whenever the lane count or
@@ -107,8 +98,8 @@ class BatchedForward {
   ///   e_k     = ||target - x_k||
   ///
   /// filling the candidate matrix, positions and errors for exactly
-  /// those lanes.  Distinct lane ranges touch disjoint memory, so
-  /// concurrent calls over a partition of [0, lanes) are race-free.
+  /// those lanes.  Distinct lane ranges touch disjoint memory, so calls
+  /// over any partition of [0, lanes) match one call over all of it.
   void evaluateLanes(const Chain& chain, const linalg::VecX& theta,
                      const linalg::VecX& dtheta, const double* alpha,
                      const linalg::Vec3& target, bool clamp_to_limits,
@@ -152,17 +143,14 @@ class BatchedForward {
                   const linalg::VecX& dtheta, const double* alpha,
                   const linalg::Vec3& target, bool clamp_to_limits,
                   std::size_t lo, std::size_t hi);
-  void noteSlice(std::size_t lanes);
 
   Precision precision_;
   const SpecBackend* backend_;
   std::size_t lanes_ = 0;
   std::size_t stride_ = 0;  ///< lane stride (lanes_ padded to backend width)
   std::size_t dof_ = 0;
-  /// High-water lanes per contiguous walk slice; relaxed atomic so the
-  /// thread-pool split (concurrent evaluateLanes over disjoint ranges)
-  /// can update it race-free.
-  mutable std::atomic<std::size_t> max_walk_slice_lanes_{0};
+  /// High-water lanes per contiguous walk slice since the last reset().
+  std::size_t max_walk_slice_lanes_ = 0;
   std::vector<double> pos_;    ///< f64 x, y, z position rows (3 x stride)
   linalg::Mat34BatchF acc_f_;  ///< f32 accumulator lanes
   std::vector<double> cand_;   ///< dof x stride candidate matrix (SoA)

@@ -17,10 +17,9 @@
 namespace dadu::ik {
 
 std::vector<std::string> solverNames() {
-  return {"jt-serial", "jt-eq8",      "jt-fixed-alpha", "jt-momentum",
-          "quick-ik",  "quick-ik-mt", "quick-ik-f32",  "quick-ik-adaptive",
-          "pinv-svd",  "dls",         "sdls",
-          "ccd"};
+  return {"jt-serial", "jt-eq8",       "jt-fixed-alpha",    "jt-momentum",
+          "quick-ik",  "quick-ik-f32", "quick-ik-adaptive", "pinv-svd",
+          "dls",       "sdls",         "ccd"};
 }
 
 std::unique_ptr<IkSolver> makeSolver(const std::string& name,
@@ -33,12 +32,7 @@ std::unique_ptr<IkSolver> makeSolver(const std::string& name,
     return std::make_unique<JtMomentumSolver>(chain, options);
   if (name == "jt-fixed-alpha")
     return std::make_unique<JtFixedAlphaSolver>(chain, options, 0.05);
-  if (name == "quick-ik")
-    return std::make_unique<QuickIkSolver>(chain, options,
-                                           QuickIkSolver::Execution::kSerial);
-  if (name == "quick-ik-mt")
-    return std::make_unique<QuickIkSolver>(
-        chain, options, QuickIkSolver::Execution::kThreadPool);
+  if (name == "quick-ik") return std::make_unique<QuickIkSolver>(chain, options);
   if (name == "quick-ik-adaptive")
     return std::make_unique<QuickIkAdaptiveSolver>(chain, options);
   if (name == "quick-ik-f32")

@@ -17,8 +17,7 @@ namespace dadu::ik {
 ///                     iteration (ablation: alpha_base without speculation)
 ///   "jt-fixed-alpha"  Jacobian transpose, fixed alpha = 0.05
 ///   "jt-momentum"     Jacobian transpose + heavy-ball momentum (ablation)
-///   "quick-ik"        Algorithm 1, speculations executed inline
-///   "quick-ik-mt"     Algorithm 1, speculations on a thread pool
+///   "quick-ik"        Algorithm 1, speculations in one batched walk
 ///   "quick-ik-f32"    Algorithm 1, speculative FK on an FP32 datapath
 ///   "quick-ik-adaptive"  Algorithm 1 with an adaptive speculation count
 ///   "pinv-svd"        SVD pseudoinverse (KDL-style baseline)

@@ -18,52 +18,35 @@
 // The sweep itself runs through kin::BatchedForward: one chain walk
 // carries all Max candidates' end-effector positions in SoA lanes,
 // from the tip to the base (the software mirror of the paper's FKU
-// array).  Execution is pluggable: inline (the paper's "Atom"
-// single-thread row) evaluates the whole batch in one kernel call; the
-// thread pool splits it into contiguous lane chunks, one per worker.
-// Both produce bit-identical results — selection is a deterministic
-// argmin with smallest-k tie-break — which is also what lets the IKAcc
-// simulator's functional output be validated against this class.
+// array), in a single kernel call on the caller's thread.  Selection
+// is a deterministic argmin with smallest-k tie-break, which is what
+// lets the IKAcc simulator's functional output be validated against
+// this class.
 //
-// The parallelism is the K speculations inside one iteration: a burst
-// of requests (IkSolver::solveMany) is solved one request at a time
-// through solve(), since one request's K candidates already fill the
-// vector registers.
+// The parallelism is the K speculations inside one iteration, carried
+// by the walk's vector lanes: a burst of requests (IkSolver::solveMany)
+// is solved one request at a time through solve(), since one request's
+// K candidates already fill the vector registers.  Independent
+// requests run in parallel across IkService workers.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "dadu/kinematics/forward_batch.hpp"
-#include "dadu/parallel/thread_pool.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
 
 class QuickIkSolver final : public JtSolver {
  public:
-  enum class Execution {
-    kSerial,      ///< speculations evaluated inline on the caller
-    kThreadPool,  ///< speculation lanes chunked over worker threads
-  };
-
-  /// `threads` is only used with kThreadPool (0 = hardware concurrency).
-  QuickIkSolver(kin::Chain chain, SolveOptions options,
-                Execution execution = Execution::kSerial,
-                std::size_t threads = 0);
+  QuickIkSolver(kin::Chain chain, SolveOptions options);
 
   SolveResult solve(const linalg::Vec3& target,
                     const linalg::VecX& seed) override;
 
-  std::string name() const override {
-    return execution_ == Execution::kSerial ? "quick-ik" : "quick-ik-mt";
-  }
-  Execution execution() const { return execution_; }
+  std::string name() const override { return "quick-ik"; }
 
  private:
-  Execution execution_;
-  std::unique_ptr<par::ThreadPool> pool_;  // only for kThreadPool
-
   // Batched speculation workspace, sized once in the constructor and
   // reused every iteration: the SoA FK kernel (owns candidates,
   // positions and errors) and the alpha ladder.

@@ -200,6 +200,15 @@ TEST(Cli, ServeBenchRejectsBadCacheFlag) {
   EXPECT_NE(r.err.find("--cache"), std::string::npos);
 }
 
+TEST(Cli, ServeBenchRejectsUnknownSolver) {
+  // Rejected before any worker builds a solver: a factory throw on a
+  // worker thread would end the process.
+  const auto r = runCli({"serve-bench", "--robot", "serpentine:10",
+                         "--requests", "4", "--solver", "magic"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown IK solver: magic"), std::string::npos);
+}
+
 TEST(Cli, ServeBindsDrainsAndDumpsStats) {
   // --max-runtime-ms is the headless stand-in for SIGINT: serve an
   // ephemeral port briefly, drain, and dump the merged snapshot.
@@ -232,6 +241,13 @@ TEST(Cli, ServeRejectsBadStatsFormat) {
                          "--stats-format", "xml"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--stats-format"), std::string::npos);
+}
+
+TEST(Cli, ServeRejectsUnknownSolver) {
+  const auto r = runCli({"serve", "--robot", "planar:6", "--port", "0",
+                         "--max-runtime-ms", "50", "--solver", "magic"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown IK solver: magic"), std::string::npos);
 }
 
 TEST(Cli, ServeRejectsOutOfRangePort) {

@@ -14,7 +14,6 @@ namespace {
 
 TEST(BackendToString, AllNamed) {
   EXPECT_EQ(toString(Backend::kCpuSerial), "cpu-serial");
-  EXPECT_EQ(toString(Backend::kCpuParallel), "cpu-parallel");
   EXPECT_EQ(toString(Backend::kIkAcc), "ikacc");
   EXPECT_EQ(toString(Backend::kJtSerial), "jt-serial");
   EXPECT_EQ(toString(Backend::kPinvSvd), "pinv-svd");
@@ -34,7 +33,6 @@ TEST_P(EngineBackend, SolvesReachableTarget) {
 
 INSTANTIATE_TEST_SUITE_P(All, EngineBackend,
                          ::testing::Values(Backend::kCpuSerial,
-                                           Backend::kCpuParallel,
                                            Backend::kIkAcc, Backend::kJtSerial,
                                            Backend::kPinvSvd),
                          [](const auto& info) {

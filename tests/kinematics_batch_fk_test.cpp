@@ -221,8 +221,8 @@ TEST(BatchedForwardKinematics, F32PrecisionMatchesScalarF32Path) {
 }
 
 TEST(BatchedForwardKinematics, LaneChunkSplitIsIrrelevant) {
-  // Evaluating [0,K) in one call or as disjoint chunks (as thread-pool
-  // workers do) must produce identical lanes.
+  // Evaluating [0,K) in one call or as disjoint chunks must produce
+  // identical lanes.
   const auto chain = kin::makeSerpentine(50);
   const linalg::VecX theta = patternVec(50, 0.4, 0.0);
   const linalg::VecX dtheta = patternVec(50, 1.0, 1.0);
@@ -243,29 +243,6 @@ TEST(BatchedForwardKinematics, LaneChunkSplitIsIrrelevant) {
   for (std::size_t k = 0; k < alphas.size(); ++k) {
     EXPECT_EQ(whole.position(k), split.position(k)) << "lane " << k;
     EXPECT_EQ(whole.errors()[k], split.errors()[k]);
-  }
-}
-
-TEST(BatchedForwardKinematics, SerialAndThreadPoolQuickIkIdentical) {
-  // The rewired solver must stay bit-identical across execution
-  // strategies and speculation counts.
-  const auto chain = kin::makeSerpentine(25);
-  for (int k_count : {1, 3, 16, 64}) {
-    ik::SolveOptions options;
-    options.speculations = k_count;
-    ik::QuickIkSolver serial(chain, options,
-                             ik::QuickIkSolver::Execution::kSerial);
-    ik::QuickIkSolver pooled(chain, options,
-                             ik::QuickIkSolver::Execution::kThreadPool, 4);
-    for (int i = 0; i < 3; ++i) {
-      const auto task = workload::generateTask(chain, i);
-      const auto rs = serial.solve(task.target, task.seed);
-      const auto rp = pooled.solve(task.target, task.seed);
-      EXPECT_EQ(rs.status, rp.status) << "K=" << k_count << " task " << i;
-      EXPECT_EQ(rs.iterations, rp.iterations);
-      EXPECT_EQ(rs.error, rp.error);
-      EXPECT_EQ(rs.theta, rp.theta) << "bit-identical selection required";
-    }
   }
 }
 

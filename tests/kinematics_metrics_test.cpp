@@ -1,15 +1,9 @@
-// Manipulability / isotropy metrics and weighted-DLS tests.
+// Manipulability / isotropy metrics tests.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/jacobian.hpp"
 #include "dadu/kinematics/metrics.hpp"
 #include "dadu/kinematics/presets.hpp"
-#include "dadu/solvers/dls.hpp"
-#include "dadu/solvers/dls_weighted.hpp"
-#include "dadu/workload/targets.hpp"
 
 namespace dadu::kin {
 namespace {
@@ -52,60 +46,6 @@ TEST(Metrics, ManipulabilityScalesWithJacobian) {
   // sqrt(det((2J)(2J)^T)) = 8 * sqrt(det(JJ^T)) for 3 rows.
   EXPECT_NEAR(manipulability(j * 2.0), 8.0 * manipulability(j),
               1e-6 * manipulability(j) * 8.0);
-}
-
-TEST(WeightedDls, ValidatesWeights) {
-  const auto chain = makeSerpentine(5);
-  EXPECT_THROW(ik::WeightedDlsSolver(chain, {}, linalg::VecX(4, 1.0)),
-               std::invalid_argument);
-  linalg::VecX bad(5, 1.0);
-  bad[2] = 0.0;
-  EXPECT_THROW(ik::WeightedDlsSolver(chain, {}, bad), std::invalid_argument);
-}
-
-TEST(WeightedDls, UnitWeightsMatchPlainDls) {
-  const auto chain = makeSerpentine(20);
-  ik::SolveOptions options;
-  ik::DlsSolver plain(chain, options);
-  ik::WeightedDlsSolver unit(chain, options, linalg::VecX(chain.dof(), 1.0));
-  const auto task = workload::generateTask(chain, 1);
-  const auto rp = plain.solve(task.target, task.seed);
-  const auto ru = unit.solve(task.target, task.seed);
-  ASSERT_TRUE(rp.converged());
-  ASSERT_TRUE(ru.converged());
-  EXPECT_EQ(rp.iterations, ru.iterations);
-  EXPECT_LT((rp.theta - ru.theta).norm(), 1e-9);
-}
-
-TEST(WeightedDls, HeavyJointMovesLess) {
-  const auto chain = makeSerpentine(20);
-  ik::SolveOptions options;
-  const auto task = workload::generateTask(chain, 3);
-
-  linalg::VecX weights(chain.dof(), 1.0);
-  weights[0] = 1e4;  // base joint very expensive
-  ik::WeightedDlsSolver weighted(chain, options, weights);
-  ik::DlsSolver plain(chain, options);
-
-  const auto rw = weighted.solve(task.target, task.seed);
-  const auto rp = plain.solve(task.target, task.seed);
-  ASSERT_TRUE(rw.converged());
-  ASSERT_TRUE(rp.converged());
-  const double moved_w = std::abs(rw.theta[0] - task.seed[0]);
-  const double moved_p = std::abs(rp.theta[0] - task.seed[0]);
-  EXPECT_LT(moved_w, 0.2 * moved_p + 1e-6);
-}
-
-TEST(WeightedDls, ConvergesWithHeterogeneousWeights) {
-  const auto chain = makeSerpentine(25);
-  linalg::VecX weights(chain.dof());
-  for (std::size_t i = 0; i < weights.size(); ++i)
-    weights[i] = 1.0 + static_cast<double>(i % 7);
-  ik::WeightedDlsSolver solver(chain, {}, weights);
-  for (int t = 0; t < 3; ++t) {
-    const auto task = workload::generateTask(chain, t);
-    EXPECT_TRUE(solver.solve(task.target, task.seed).converged()) << t;
-  }
 }
 
 }  // namespace

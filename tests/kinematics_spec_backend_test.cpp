@@ -409,10 +409,8 @@ TEST(SpecBackendSlicing, SolveManyAtK512MatchesPerLaneSolves) {
   options.speculations = 512;
   options.max_iterations = 12;
 
-  ik::QuickIkSolver batched(chain, options,
-                            ik::QuickIkSolver::Execution::kSerial);
-  ik::QuickIkSolver single(chain, options,
-                           ik::QuickIkSolver::Execution::kSerial);
+  ik::QuickIkSolver batched(chain, options);
+  ik::QuickIkSolver single(chain, options);
 
   constexpr std::size_t kLanes = 5;
   std::vector<workload::IkTask> tasks;

@@ -32,8 +32,6 @@ TEST(Engine, OptionsPropagateToSolver) {
 TEST(Engine, SolverNamesMatchBackends) {
   const auto chain = kin::makeSerpentine(12);
   EXPECT_EQ(IkEngine(chain, Backend::kCpuSerial).solver().name(), "quick-ik");
-  EXPECT_EQ(IkEngine(chain, Backend::kCpuParallel).solver().name(),
-            "quick-ik-mt");
   EXPECT_EQ(IkEngine(chain, Backend::kIkAcc).solver().name(), "ikacc");
   EXPECT_EQ(IkEngine(chain, Backend::kJtSerial).solver().name(), "jt-serial");
   EXPECT_EQ(IkEngine(chain, Backend::kPinvSvd).solver().name(), "pinv-svd");

@@ -1,8 +1,10 @@
 // Solver plumbing tests: shared iteration head (Eq. 8), input
-// validation, result summarisation and the factory.
+// validation, result summarisation and percentiles, and the factory.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/presets.hpp"
@@ -43,6 +45,19 @@ TEST(Summarize, AggregatesMeans) {
   EXPECT_DOUBLE_EQ(s.mean_iterations, 20.0);
   EXPECT_DOUBLE_EQ(s.mean_load, 1280.0);
   EXPECT_NEAR(s.mean_error, 0.0255, 1e-12);
+}
+
+TEST(Percentiles, NearestRankSemantics) {
+  std::vector<SolveResult> batch(10);
+  for (int i = 0; i < 10; ++i) batch[i].iterations = (i + 1) * 10;  // 10..100
+  EXPECT_DOUBLE_EQ(iterationPercentile(batch, 50), 50.0);
+  EXPECT_DOUBLE_EQ(iterationPercentile(batch, 90), 90.0);
+  EXPECT_DOUBLE_EQ(iterationPercentile(batch, 100), 100.0);
+  EXPECT_DOUBLE_EQ(iterationPercentile(batch, 0), 10.0);
+  EXPECT_DOUBLE_EQ(iterationPercentile({}, 50), 0.0);
+  // Order independence.
+  std::swap(batch[0], batch[9]);
+  EXPECT_DOUBLE_EQ(iterationPercentile(batch, 90), 90.0);
 }
 
 TEST(ValidateInputs, RejectsBadSeedSize) {
@@ -140,13 +155,13 @@ TEST(Factory, UnknownNameThrows) {
   const auto chain = kin::makeSerpentine(12);
   EXPECT_THROW(makeSolver("fancy-new-method", chain, {}),
                std::invalid_argument);
+  EXPECT_THROW(makeSolver("quick-ik-mt", chain, {}), std::invalid_argument);
 }
 
 TEST(Factory, NamesAreStable) {
   const auto chain = kin::makePlanar(4);
   for (const auto& name : solverNames()) {
     const auto solver = makeSolver(name, chain, {});
-    // quick-ik-mt reports its own name; the rest echo the factory key.
     EXPECT_EQ(solver->name(), name);
   }
 }

@@ -56,8 +56,7 @@ std::string caseName(const ::testing::TestParamInfo<Case>& info) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperMethods, SolverConvergence,
-    ::testing::Combine(::testing::Values("jt-serial", "quick-ik",
-                                         "quick-ik-mt", "pinv-svd"),
+    ::testing::Combine(::testing::Values("jt-serial", "quick-ik", "pinv-svd"),
                        ::testing::Values<std::size_t>(12, 25, 50)),
     caseName);
 

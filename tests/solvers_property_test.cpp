@@ -36,8 +36,7 @@ TEST_P(SolverDeterminism, SameInputsSameOutputs) {
 
 INSTANTIATE_TEST_SUITE_P(All, SolverDeterminism,
                          ::testing::Values("jt-serial", "quick-ik",
-                                           "quick-ik-mt", "pinv-svd", "dls",
-                                           "sdls", "ccd"),
+                                           "pinv-svd", "dls", "sdls", "ccd"),
                          [](const auto& info) {
                            std::string n = info.param;
                            for (char& c : n)

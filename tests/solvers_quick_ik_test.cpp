@@ -1,5 +1,5 @@
 // Quick-IK algorithm-specific tests: Eq. 9 speculation semantics,
-// serial/parallel equivalence, iteration-reduction vs JT-Serial,
+// iteration-reduction vs JT-Serial,
 // instrumentation counters and history recording.
 #include <gtest/gtest.h>
 
@@ -35,22 +35,6 @@ TEST(QuickIk, OneSpeculationEqualsEq8Transpose) {
   const auto rj = jt.solve(task.target, task.seed);
   EXPECT_EQ(rq.iterations, rj.iterations);
   EXPECT_LT((rq.theta - rj.theta).norm(), 1e-12);
-}
-
-TEST(QuickIk, SerialAndThreadPoolBitIdentical) {
-  const auto chain = kin::makeSerpentine(25);
-  SolveOptions options;
-  QuickIkSolver serial(chain, options, QuickIkSolver::Execution::kSerial);
-  QuickIkSolver parallel(chain, options,
-                         QuickIkSolver::Execution::kThreadPool, 4);
-  for (int i = 0; i < 3; ++i) {
-    const auto task = workload::generateTask(chain, i);
-    const auto rs = serial.solve(task.target, task.seed);
-    const auto rp = parallel.solve(task.target, task.seed);
-    EXPECT_EQ(rs.iterations, rp.iterations) << "task " << i;
-    EXPECT_EQ(rs.status, rp.status);
-    EXPECT_EQ(rs.theta, rp.theta) << "bit-identical selection required";
-  }
 }
 
 TEST(QuickIk, ReducesIterationsMassivelyVsJtSerial) {
@@ -161,9 +145,6 @@ TEST(QuickIk, RespectsJointLimitsWhenClamped) {
 TEST(QuickIk, NameReflectsExecution) {
   const auto chain = kin::makePlanar(3);
   EXPECT_EQ(QuickIkSolver(chain, {}).name(), "quick-ik");
-  EXPECT_EQ(QuickIkSolver(chain, {}, QuickIkSolver::Execution::kThreadPool, 2)
-                .name(),
-            "quick-ik-mt");
 }
 
 }  // namespace

@@ -29,11 +29,10 @@
 #
 #   cmake -B build-tsan -S . -DDADU_SANITIZE=thread -DDADU_BUILD_BENCH=OFF
 #   cmake --build build-tsan -j --target service_test service_batch_test \
-#       service_stress_test parallel_test
+#       service_stress_test
 #   ./build-tsan/tests/service_test
 #   ./build-tsan/tests/service_batch_test
 #   ./build-tsan/tests/service_stress_test
-#   ./build-tsan/tests/parallel_test
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
