@@ -110,6 +110,30 @@ void BM_SpeculationBatched(benchmark::State& state) {
 BENCHMARK(BM_SpeculationBatched)
     ->Args({12, 64})->Args({50, 64})->Args({100, 16})->Args({100, 64});
 
+void BM_SpeculationLadder(benchmark::State& state) {
+  // BM_SpeculationBatched's inputs through evaluateLadder, the form the
+  // solvers call: Eq. 9's ladder gives most lanes their joint trig by
+  // one angle-addition rotation, args = {DOF, K}.
+  const auto chain =
+      dadu::kin::makeSerpentine(static_cast<std::size_t>(state.range(0)));
+  const auto k_count = static_cast<std::size_t>(state.range(1));
+  const auto task = dadu::workload::generateTask(chain, 0);
+  dadu::ik::JtWorkspace ws;
+  const auto head =
+      dadu::ik::jtIterationHead(chain, task.seed, task.target, ws);
+  dadu::kin::BatchedForward batch;
+  batch.reset(chain, k_count);
+  for (auto _ : state) {
+    batch.evaluateLadder(chain, task.seed, ws.dtheta_base, head.alpha_base,
+                         k_count, task.target, false, 0, k_count);
+    benchmark::DoNotOptimize(batch.errors().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_SpeculationLadder)
+    ->Args({12, 64})->Args({50, 64})->Args({100, 16})->Args({100, 64});
+
 void BM_QuickIkIteration(benchmark::State& state) {
   // One Quick-IK iteration = head + 64 speculative FK passes; measured
   // as a 1-iteration solve budget.

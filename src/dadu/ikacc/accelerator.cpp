@@ -19,7 +19,6 @@ IkAccelerator::IkAccelerator(kin::Chain chain, ik::SolveOptions options,
     throw std::invalid_argument("IKAcc requires at least 1 SSU");
   const auto max_spec = static_cast<std::size_t>(options_.speculations);
   batch_.reset(chain_, max_spec);
-  alphas_.resize(max_spec);
 }
 
 ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
@@ -54,14 +53,12 @@ ik::SolveResult IkAccelerator::solve(const linalg::Vec3& target,
       stats_.scheduler_cycles += bcast;
       stats_.total_cycles += bcast;
 
-      const std::size_t wave_end = wave.first + wave.count;
-      for (std::size_t idx = wave.first; idx < wave_end; ++idx)
-        alphas_[idx] =
-            (static_cast<double>(idx + 1) / static_cast<double>(max_spec)) *
-            head.alpha_base;  // Eq. 9
-      batch_.evaluateLanes(chain_, result.theta, ws_.dtheta_base,
-                           alphas_.data(), target, options_.clamp_to_limits,
-                           wave.first, wave_end);
+      // The wave's slice of Eq. 9's ladder: each lane's bits depend on
+      // its index only, so the waves reproduce the software sweep.
+      batch_.evaluateLadder(chain_, result.theta, ws_.dtheta_base,
+                            head.alpha_base, max_spec, target,
+                            options_.clamp_to_limits, wave.first,
+                            wave.first + wave.count);
       result.fk_evaluations += static_cast<long long>(wave.count);
 
       // All active SSUs run in lockstep: wave latency = one SSU, energy

@@ -47,7 +47,6 @@ class IkAccelerator final : public ik::JtSolver {
   // The SSUs' functional model: the same batched speculation kernel the
   // software solver runs, evaluated one wave's lane range at a time.
   kin::BatchedForward batch_;
-  std::vector<double> alphas_;
 };
 
 }  // namespace dadu::acc

@@ -20,7 +20,7 @@ namespace {
 
 /// 4-lane f64 vector ops for walk_wide.hpp.  Unaligned loads/stores by
 /// design: lane ranges start at arbitrary offsets (group boundaries,
-/// pool chunks) and penalty-free unaligned access is exactly what the
+/// IKAcc waves) and penalty-free unaligned access is exactly what the
 /// padded, 32-byte-aligned rows buy.
 struct V4 {
   static constexpr std::size_t width = 4;
@@ -57,6 +57,10 @@ struct V4 {
   static bool anyAbsNotBelow(reg x, reg lim) {
     const reg abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
     return _mm256_movemask_pd(_mm256_cmp_pd(abs, lim, _CMP_NLT_UQ)) != 0;
+  }
+  /// True when some lane has a != b (ordered: NaN lanes never do).
+  static bool anyNotEqual(reg a, reg b) {
+    return _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_NEQ_OQ)) != 0;
   }
 };
 

@@ -27,7 +27,10 @@ struct V8 {
   static reg add(reg a, reg b) { return _mm512_add_pd(a, b); }
   static reg sub(reg a, reg b) { return _mm512_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm512_mul_pd(a, b); }
-  static reg sqrt(reg a) { return _mm512_sqrt_pd(a); }
+  // sqrt and the shift use their all-lanes zero-masked forms: the plain
+  // intrinsics pass GCC's _mm512_undefined_*() as the unused source,
+  // which GCC 12 reports as -Wmaybe-uninitialized.  Same results.
+  static reg sqrt(reg a) { return _mm512_maskz_sqrt_pd(0xFF, a); }
   /// q < lim ? lim : q — ordered compare; NaN lanes keep q, matching
   /// the scalar if-chain.
   static reg clampBelow(reg q, reg lim) {
@@ -50,7 +53,8 @@ struct V8 {
         _mm512_xor_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
   }
   static reg shiftLeftBits(reg a, unsigned n) {
-    return _mm512_castsi512_pd(_mm512_slli_epi64(_mm512_castpd_si512(a), n));
+    return _mm512_castsi512_pd(
+        _mm512_maskz_slli_epi64(0xFF, _mm512_castpd_si512(a), n));
   }
   /// Lanes of m with the sign bit set take b, the rest a.
   static reg selectBySign(reg m, reg a, reg b) {
@@ -62,6 +66,10 @@ struct V8 {
   /// True when some lane has !(|x| < lim) — NaN included.
   static bool anyAbsNotBelow(reg x, reg lim) {
     return _mm512_cmp_pd_mask(_mm512_abs_pd(x), lim, _CMP_NLT_UQ) != 0;
+  }
+  /// True when some lane has a != b (ordered: NaN lanes never do).
+  static bool anyNotEqual(reg a, reg b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_NEQ_OQ) != 0;
   }
 };
 

@@ -15,9 +15,10 @@
 // Parity contract: a backend's results must match the scalar reference
 // bit for bit.  The wide kernels replicate the scalar operation order
 // exactly — the walk's own mul/add-only sin/cos (specSinCos below;
-// libm only for out-of-range lanes, in one shared fix-up pass),
-// mul/add without FMA contraction, IEEE vector sqrt — and the parity
-// suite compares every tested DOF x K point bit for bit.
+// libm only for out-of-range lanes, in one shared fix-up pass), the
+// ladder's fixed block width kLadderBlock, mul/add without FMA
+// contraction, IEEE vector sqrt — and the parity suite compares every
+// tested DOF x K point bit for bit.
 //
 // Dispatch: dispatchedSpecBackend() picks the widest backend the CPU
 // supports (CPUID, checked once), overridable with the
@@ -39,6 +40,12 @@
 
 namespace dadu::kin {
 
+/// Block width of Eq. 9's ladder in the f64 walk (evaluateLadder):
+/// lane k = j * kLadderBlock + m takes its (cos, sin) as base factor m
+/// rotated by block factor j.  The same in every backend, so backends
+/// stay bit-identical.
+inline constexpr std::size_t kLadderBlock = 8;
+
 /// Borrowed view of BatchedForward's f64 workspace for one sweep.
 /// All arrays use the same padded lane stride; a kernel may only read
 /// or write lanes inside the range it was handed.  Only positions are
@@ -51,6 +58,14 @@ struct SpecLaneBlock {
   const double* trig = nullptr;       ///< Chain::dhTrig(): cos/sin alpha, cos/sin theta0
   double* errors = nullptr;           ///< per-lane error output
   std::size_t stride = 0;             ///< lane stride of cand rows
+  /// Eq. 9's ladder (evaluateLadder), or nullptr for per-lane trig:
+  /// ladder_step[j] = (j * kLadderBlock / K) * alpha_base, the step
+  /// from lane m to lane j * kLadderBlock + m per unit dtheta.
+  const double* ladder_step = nullptr;
+  /// Ladder factor scratch (cos, sin): kLadderBlock base factors, then
+  /// one per lane block at index kLadderBlock + j.
+  double* fc = nullptr;
+  double* fs = nullptr;
 };
 
 /// One speculation kernel.  Implementations are stateless and
@@ -71,7 +86,10 @@ class SpecBackend {
   /// cand[i][k] = theta[i] + alpha[k] * dtheta[i] (clamped to joint
   /// limits when asked), then each lane's point moves from the tip to
   /// the base one joint at a time, using the chain's DH trig table and
-  /// the walk's sin/cos of each candidate angle; pos holds f(theta_k).
+  /// the walk's sin/cos of each candidate angle — per lane, or through
+  /// Eq. 9's ladder when ws.ladder_step is set (alpha must then hold
+  /// the ladder, lanes [0, kLadderBlock) included); pos holds
+  /// f(theta_k).
   virtual void walkLanes(const Chain& chain, const SpecLaneBlock& ws,
                          const linalg::VecX& theta,
                          const linalg::VecX& dtheta, const double* alpha,

@@ -13,22 +13,33 @@
 // point from the tip to the base, f(theta) = B * T_1(T_2(... T_N * 0)),
 // so each joint is one DH-structured matrix-vector step on three
 // position lanes (pointStep: 8 mul + 6 add per lane) and the chain base
-// B is applied once, at the end.  Its candidate sin/cos come from
-// sinCosLanes() below, not from libm: a Cody-Waite reduction plus
-// Taylor polynomials built only from IEEE mul/add/sub, so the wide
-// backends can evaluate the same function a vector at a time and stay
-// bit-identical.  Lanes whose angle is non-finite or at least
-// kWalkTrigCutoff in magnitude fall back to std::sin/std::cos in one
-// shared fix-up pass.
+// B is applied once, at the end.  Its sin/cos is sinCosFast() below,
+// not libm: a Cody-Waite reduction plus Taylor polynomials built only
+// from IEEE mul/add/sub, so the wide backends can evaluate the same
+// function a vector at a time and stay bit-identical.  Angles that are
+// non-finite or at least kWalkTrigCutoff in magnitude take
+// std::sin/std::cos in a shared fix-up pass.  The trig pass is the
+// only part that differs between the two forms of the walk:
+//
+//   - per lane (evaluateLanes, any alpha array): sinCosLanes() takes
+//     sinCosFast of each of the K candidate angles;
+//   - Eq. 9's ladder (evaluateLadder): sinCosLadder() takes sinCosFast
+//     of kLadderBlock base angles and of one step angle per block of
+//     kLadderBlock lanes, and gives every other lane its (cos, sin) by
+//     one angle-addition rotation, 4 mul + 2 add.  Clamped lanes and
+//     lanes the ladder cannot describe take per-lane trig in a fix-up
+//     pass.
 //
 // The f32 walk (walkLanesF32, the FP32-FKU model) keeps the base-to-tip
 // 3x4 transform compose of endEffectorPositionF32 and libm trig.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "dadu/kinematics/backends/spec_backend.hpp"
 #include "dadu/kinematics/chain.hpp"
@@ -152,19 +163,143 @@ inline void sinCosLanes(double t0, const double* q, double* ct, double* st,
   if (any_outside) sinCosFallback(t0, q, ct, st, lo, hi);
 }
 
+// ---- Eq. 9's ladder ----------------------------------------------------
+//
+// evaluateLadder's candidates are q_k = theta_i + alpha_k * dtheta_i with
+// alpha_k = ((k + 1) / K) * alpha_base.  Write lane k = j * B + m, with
+// B = kLadderBlock and m < B.  Lane k's angle is lane m's plus
+//
+//   g_j = step[j] * dtheta_i,   step[j] = (j * B / K) * alpha_base
+//
+// (SpecLaneBlock::ladder_step; each product rounded in that order), so
+//
+//   cos x_k = c_m * C_j - s_m * S_j,   sin x_k = s_m * C_j + c_m * S_j
+//
+// with base factors (c_m, s_m) = sinCosFast(t0 + q_m) of the unclamped
+// candidate and block factors (C_j, S_j) = sinCosFast(g_j): B + K / B
+// trig evaluations per joint instead of K.  Block 0 copies its base
+// factors, so K <= B is per-lane trig exactly.  Both factors depend on
+// the lane's absolute index only, never on the lane range, so any
+// partition or slicing of [0, K) gives the same bits; a chained ladder
+// (block j rotated from block j - 1) would depend on where a range
+// starts, and its error would grow with K.  The rotation differs from
+// per-lane trig at x_k by the roundings of q_k, q_m, t0 + q_k, t0 + q_m
+// and g_j plus those of the factors and the rotation — a few ULPs of
+// max(|x_k|, 1) for joint-sized angles (DESIGN.md §4.5 derives the
+// bound; kinematics_walk_trig_test checks it).
+//
+// The fix-up pass (ladderFixup) gives per-lane trig — sinCosFast in
+// range, libm outside it — to lanes the clamp moved, lanes whose angle
+// t0 + q_k is outside the fast range or non-finite, and lanes whose
+// base or block factor angle is (those factors are poisoned to NaN, so
+// the rotation marks their lanes).
+
+/// Base factor m: cos/sin of t0 + (ti + alpha[m] * di), the unclamped
+/// candidate angle in formCandidates' operation order, into fc/fs[m];
+/// NaN (and true returned) when that angle is outside the fast range.
+inline bool ladderBaseFactor(double t0, double ti, double di,
+                             const double* alpha, std::size_t m, double* fc,
+                             double* fs) {
+  const double x = t0 + (ti + alpha[m] * di);
+  sinCosFast(x, fs[m], fc[m]);
+  if (!outsideWalkTrig(x)) return false;
+  fc[m] = fs[m] = std::numeric_limits<double>::quiet_NaN();
+  return true;
+}
+
+/// Block factor j >= 1: cos/sin of g_j = step[j] * di into
+/// fc/fs[kLadderBlock + j]; poisoned like ladderBaseFactor.
+inline bool ladderBlockFactor(const double* step, double di, std::size_t j,
+                              double* fc, double* fs) {
+  const double g = step[j] * di;
+  double* c = fc + kLadderBlock + j;
+  double* s = fs + kLadderBlock + j;
+  sinCosFast(g, *s, *c);
+  if (!outsideWalkTrig(g)) return false;
+  *c = *s = std::numeric_limits<double>::quiet_NaN();
+  return true;
+}
+
+/// Lane k's (cos, sin) from its base and block factors.
+inline void ladderLane(const double* fc, const double* fs, double* ct,
+                       double* st, std::size_t k) {
+  const std::size_t j = k / kLadderBlock, m = k % kLadderBlock;
+  if (j == 0) {
+    ct[k] = fc[m];
+    st[k] = fs[m];
+    return;
+  }
+  const double c = fc[m], s = fs[m];
+  const double cj = fc[kLadderBlock + j], sj = fs[kLadderBlock + j];
+  ct[k] = c * cj - s * sj;
+  st[k] = s * cj + c * sj;
+}
+
+/// The ladder's fix-up pass over lanes [lo, hi): per-lane trig for
+/// lanes whose angle is outside the fast range (libm), and for lanes
+/// the clamp moved or whose factor was poisoned (sinCosFast).  A lane
+/// was moved when q[k] differs from its unclamped value ti + alpha[k]
+/// * di.  Every backend runs exactly this loop.
+inline void ladderFixup(double t0, double ti, double di, const double* alpha,
+                        bool clamped, const double* q, double* ct, double* st,
+                        std::size_t lo, std::size_t hi) {
+  for (std::size_t k = lo; k < hi; ++k) {
+    const double x = t0 + q[k];
+    if (outsideWalkTrig(x)) {
+      ct[k] = std::cos(x);
+      st[k] = std::sin(x);
+    } else if (std::isnan(ct[k]) ||
+               (clamped && q[k] != ti + alpha[k] * di)) {
+      sinCosFast(x, st[k], ct[k]);
+    }
+  }
+}
+
+/// The ladder's trig pass for one revolute joint over lanes [lo, hi):
+/// ct[k], st[k] = cos, sin(t0 + q[k]).  `clamped` says whether the clamp
+/// moved any lane of this range.  Ranges shorter than one block take
+/// only the base factors their lanes use.
+inline void sinCosLadder(const SpecLaneBlock& ws, double t0, double ti,
+                         double di, const double* alpha, bool clamped,
+                         const double* q, std::size_t lo, std::size_t hi) {
+  bool poisoned = false;
+  if (hi - lo >= kLadderBlock) {
+    for (std::size_t m = 0; m < kLadderBlock; ++m)
+      poisoned |= ladderBaseFactor(t0, ti, di, alpha, m, ws.fc, ws.fs);
+  } else {
+    for (std::size_t k = lo; k < hi; ++k)
+      poisoned |=
+          ladderBaseFactor(t0, ti, di, alpha, k % kLadderBlock, ws.fc, ws.fs);
+  }
+  for (std::size_t j = std::max<std::size_t>(lo / kLadderBlock, 1);
+       j * kLadderBlock < hi; ++j)
+    poisoned |= ladderBlockFactor(ws.ladder_step, di, j, ws.fc, ws.fs);
+  bool any_outside = false;
+  for (std::size_t k = lo; k < hi; ++k) {
+    ladderLane(ws.fc, ws.fs, ws.ct, ws.st, k);
+    any_outside |= outsideWalkTrig(t0 + q[k]);
+  }
+  if (poisoned || any_outside || clamped)
+    ladderFixup(t0, ti, di, alpha, clamped, q, ws.ct, ws.st, lo, hi);
+}
+
 // Candidate joint values q[k] = theta_i + alpha[k] * dtheta_i over
-// lanes [lo, hi), clamped the same way Joint::clamp does.
-inline void formCandidates(const Joint& joint, double ti, double di,
+// lanes [lo, hi), clamped the same way Joint::clamp does.  Returns
+// whether the clamp moved any lane.
+inline bool formCandidates(const Joint& joint, double ti, double di,
                            const double* alpha, bool clamp_to_limits,
                            double* q, std::size_t lo, std::size_t hi) {
   for (std::size_t k = lo; k < hi; ++k) q[k] = ti + alpha[k] * di;
+  bool clamped = false;
   if (clamp_to_limits) {
     const double qmin = joint.min, qmax = joint.max;
     for (std::size_t k = lo; k < hi; ++k) {
+      clamped |= (q[k] < qmin) | (q[k] > qmax);
       if (q[k] < qmin) q[k] = qmin;
       if (q[k] > qmax) q[k] = qmax;
     }
   }
+  return clamped;
 }
 
 // One joint of the tip-to-base point walk over lanes [lo, hi):
@@ -212,12 +347,12 @@ inline void applyBase(const linalg::Mat4& b, double* vx, double* vy,
 
 // One full f64 chain walk over lanes [lo, hi), joint-major from the tip
 // to the base: each joint forms its K candidate values, takes their
-// sin/cos into ct/st (sinCosLanes), then moves the K points one joint
-// closer to the base (pointStep); the chain base is applied last.  The
-// candidate rows are filled in reverse joint order, which changes
-// nothing — every row and lane is independent.  Positions agree with
-// the scalar Mat4 FK to ~1e-15 (another association order, and the
-// walk's own trig).
+// sin/cos into ct/st (sinCosLanes, or sinCosLadder when ws.ladder_step
+// is set), then moves the K points one joint closer to the base
+// (pointStep); the chain base is applied last.  The candidate rows are
+// filled in reverse joint order, which changes nothing — every row and
+// lane is independent.  Positions agree with the scalar Mat4 FK to
+// ~1e-15 (another association order, and the walk's own trig).
 inline void walkPointLanes(const Chain& chain, const SpecLaneBlock& ws,
                            const linalg::VecX& theta,
                            const linalg::VecX& dtheta, const double* alpha,
@@ -232,10 +367,14 @@ inline void walkPointLanes(const Chain& chain, const SpecLaneBlock& ws,
     const DhParam& p = joint.dh;
     const double* trig = ws.trig + 4 * i;
     double* q = ws.cand + i * ws.stride;
-    formCandidates(joint, theta[i], dtheta[i], alpha, clamp_to_limits, q, lo,
-                   hi);
+    const bool clamped = formCandidates(joint, theta[i], dtheta[i], alpha,
+                                        clamp_to_limits, q, lo, hi);
     if (joint.type == JointType::kRevolute) {
-      sinCosLanes(p.theta, q, ws.ct, ws.st, lo, hi);
+      if (ws.ladder_step != nullptr)
+        sinCosLadder(ws, p.theta, theta[i], dtheta[i], alpha, clamped, q, lo,
+                     hi);
+      else
+        sinCosLanes(p.theta, q, ws.ct, ws.st, lo, hi);
       pointStep<false>(vx, vy, vz, ws.ct, ws.st, trig[0], trig[1], p.a, p.d,
                        q, lo, hi);
     } else {

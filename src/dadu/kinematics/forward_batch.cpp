@@ -8,6 +8,17 @@
 #include "dadu/kinematics/backends/walk_ref.hpp"
 
 namespace dadu::kin {
+namespace {
+
+/// Ladder blocks spanning `lanes` lanes, rounded up to a whole
+/// kLadderBlock of blocks so the wide backends take block factors in
+/// whole vectors (every vector width divides kLadderBlock).
+std::size_t ladderSteps(std::size_t lanes) {
+  const std::size_t blocks = (lanes + kLadderBlock - 1) / kLadderBlock;
+  return (blocks + kLadderBlock - 1) / kLadderBlock * kLadderBlock;
+}
+
+}  // namespace
 
 BatchedForward::BatchedForward(Precision precision, const SpecBackend* backend)
     : precision_(precision),
@@ -24,10 +35,15 @@ void BatchedForward::reset(const Chain& chain, std::size_t lanes) {
   max_walk_slice_lanes_ = 0;
   cand_.resize(dof_ * stride_);
   errors_.resize(stride_);
+  const std::size_t blocks = ladderSteps(stride_);
+  alpha_.resize(std::max(stride_, kLadderBlock));
   if (precision_ == Precision::kF64) {
     pos_.resize(3 * stride_);
     ct_.resize(stride_);
     st_.resize(stride_);
+    ladder_step_.resize(blocks);
+    fc_.resize(kLadderBlock + blocks);
+    fs_.resize(kLadderBlock + blocks);
   } else {
     acc_f_.resize(lanes, mult);
     ctf_.resize(stride_);
@@ -48,6 +64,7 @@ void BatchedForward::reset(const Chain& chain, std::size_t lanes) {
 void BatchedForward::slicedWalk(const Chain& chain, const linalg::VecX& theta,
                                 const linalg::VecX& dtheta,
                                 const double* alpha,
+                                const double* ladder_step,
                                 const linalg::Vec3& target,
                                 bool clamp_to_limits, std::size_t lo,
                                 std::size_t hi) {
@@ -59,6 +76,9 @@ void BatchedForward::slicedWalk(const Chain& chain, const linalg::VecX& theta,
   block.trig = chain.dhTrig();
   block.errors = errors_.data();
   block.stride = stride_;
+  block.ladder_step = ladder_step;
+  block.fc = fc_.data();
+  block.fs = fs_.data();
 
   // Lanes are independent, so any split produces identical results.
   for (std::size_t s = lo; s < hi; s += kMaxWalkSliceLanes) {
@@ -91,8 +111,42 @@ void BatchedForward::evaluateLanes(const Chain& chain,
   assert(lane_end <= lanes_ && lane_begin <= lane_end);
   chain.requireSize(theta);
   chain.requireSize(dtheta);
-  slicedWalk(chain, theta, dtheta, alpha, target, clamp_to_limits,
+  slicedWalk(chain, theta, dtheta, alpha, nullptr, target, clamp_to_limits,
              lane_begin, lane_end);
+}
+
+void BatchedForward::evaluateLadder(const Chain& chain,
+                                    const linalg::VecX& theta,
+                                    const linalg::VecX& dtheta,
+                                    double alpha_base,
+                                    std::size_t speculations,
+                                    const linalg::Vec3& target,
+                                    bool clamp_to_limits,
+                                    std::size_t lane_begin,
+                                    std::size_t lane_end) {
+  assert(chain.dof() == dof_ && "call reset() for this chain first");
+  assert(lane_end <= lanes_ && lane_begin <= lane_end);
+  assert(speculations >= 1);
+  chain.requireSize(theta);
+  chain.requireSize(dtheta);
+  // Eq. 9, in the solvers' expression.  The ladder's base factors read
+  // the first block's alphas whatever the lane range.
+  const auto max_spec = static_cast<double>(speculations);
+  const auto ladderAlpha = [&](std::size_t k) {
+    alpha_[k] = (static_cast<double>(k + 1) / max_spec) * alpha_base;
+  };
+  for (std::size_t k = 0; k < kLadderBlock; ++k) ladderAlpha(k);
+  for (std::size_t k = std::max(lane_begin, kLadderBlock); k < lane_end; ++k)
+    ladderAlpha(k);
+  const double* step = nullptr;
+  if (precision_ == Precision::kF64) {
+    for (std::size_t j = 0; j < ladderSteps(lane_end); ++j)
+      ladder_step_[j] =
+          (static_cast<double>(j * kLadderBlock) / max_spec) * alpha_base;
+    step = ladder_step_.data();
+  }
+  slicedWalk(chain, theta, dtheta, alpha_.data(), step, target,
+             clamp_to_limits, lane_begin, lane_end);
 }
 
 void BatchedForward::evaluateGrouped(const Chain& chain,

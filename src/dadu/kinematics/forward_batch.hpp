@@ -8,12 +8,18 @@
 //
 // f64: Eq. 10 applied to one point, f(theta) = B * T_1(T_2(... T_N * 0)),
 // evaluated from the tip to the base.  At each joint the kernel forms
-// the K candidate joint values, takes their K sin/cos (the walk's own
-// vectorizable sin/cos, see backends/walk_ref.hpp), and moves K points
+// the K candidate joint values, takes their K sin/cos with the walk's
+// own vectorizable sin/cos (backends/walk_ref.hpp), and moves K points
 // one joint closer to the base with one DH-structured matrix-vector
 // step, v := RotZ(theta) * (RotX(alpha) * v + (a, 0, d)) — 8 mul + 6
 // add per lane on three structure-of-arrays position rows (batch index
-// innermost).  The chain base B is applied once, at the end.
+// innermost).  The chain base B is applied once, at the end.  Quick-IK's
+// candidates form Eq. 9's arithmetic ladder, alpha_k = (k / K) *
+// alpha_base, and evaluateLadder() uses that: per joint it takes the
+// walk's sin/cos of 8 base angles and of one step angle per block of 8
+// lanes, and each other lane's (cos, sin) is one angle-addition
+// rotation (4 mul + 2 add); clamped lanes take per-lane trig.
+// evaluateLanes() takes any alpha array and per-lane trig.
 //
 // f32 (the FP32-FKU model): K accumulator transforms in a
 // linalg::Mat34BatchF advance base to tip, reproducing
@@ -105,6 +111,21 @@ class BatchedForward {
                      const linalg::Vec3& target, bool clamp_to_limits,
                      std::size_t lane_begin, std::size_t lane_end);
 
+  /// evaluateLanes over Eq. 9's ladder, the form every solver uses:
+  /// alpha[k] = ((k + 1) / speculations) * alpha_base (Quick-IK's
+  /// expression), with the f64 walk's candidate trig taken through the
+  /// ladder's angle addition (backends/walk_ref.hpp, "Eq. 9's ladder").
+  /// A lane's results depend only on its index k, never on the lane
+  /// range, so partitions and slicing stay bit-exact; they are within a
+  /// few ULPs of evaluateLanes' per-lane trig, and equal to it for
+  /// speculations <= kLadderBlock.  kF32 forms the same alpha array and
+  /// runs its per-lane walk.
+  void evaluateLadder(const Chain& chain, const linalg::VecX& theta,
+                      const linalg::VecX& dtheta, double alpha_base,
+                      std::size_t speculations, const linalg::Vec3& target,
+                      bool clamp_to_limits, std::size_t lane_begin,
+                      std::size_t lane_end);
+
   /// One target's slice of a multi-target sweep: lanes
   /// [lane_begin, lane_end) form candidates theta + alpha[k] * dtheta
   /// and score them against `target`.  theta/dtheta are borrowed — the
@@ -139,10 +160,12 @@ class BatchedForward {
   /// Walk + error-reduce lanes [lo, hi) against `target` in slices of
   /// at most kMaxWalkSliceLanes, through the backend (kF64) or the f32
   /// reference walk (kF32).
+  /// `ladder_step` (kF64 only): Eq. 9's block steps, or nullptr for
+  /// per-lane trig.
   void slicedWalk(const Chain& chain, const linalg::VecX& theta,
                   const linalg::VecX& dtheta, const double* alpha,
-                  const linalg::Vec3& target, bool clamp_to_limits,
-                  std::size_t lo, std::size_t hi);
+                  const double* ladder_step, const linalg::Vec3& target,
+                  bool clamp_to_limits, std::size_t lo, std::size_t hi);
 
   Precision precision_;
   const SpecBackend* backend_;
@@ -155,6 +178,10 @@ class BatchedForward {
   linalg::Mat34BatchF acc_f_;  ///< f32 accumulator lanes
   std::vector<double> cand_;   ///< dof x stride candidate matrix (SoA)
   std::vector<double> ct_, st_;  ///< per-lane cos/sin scratch (f64)
+  /// evaluateLadder's alpha ladder (>= kLadderBlock lanes) and block
+  /// steps.
+  std::vector<double> alpha_, ladder_step_;
+  std::vector<double> fc_, fs_;  ///< ladder factor scratch (f64)
   std::vector<float> ctf_, stf_;  ///< per-lane cos/sin scratch (f32)
   std::vector<double> errors_;
   // f32 per-joint DH trig constants, laid out like Chain::dhTrig() but

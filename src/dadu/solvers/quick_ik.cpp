@@ -10,7 +10,6 @@ QuickIkSolver::QuickIkSolver(kin::Chain chain, SolveOptions options)
     throw std::invalid_argument("Quick-IK requires at least 1 speculation");
   const auto max_spec = static_cast<std::size_t>(options_.speculations);
   batch_.reset(chain_, max_spec);
-  alphas_.resize(max_spec);
 }
 
 SolveResult QuickIkSolver::solve(const linalg::Vec3& target,
@@ -20,13 +19,10 @@ SolveResult QuickIkSolver::solve(const linalg::Vec3& target,
 
   const auto step = [&](const JtIterationHead& head, SolveResult& result) {
     // Speculative search (Algorithm 1, lines 6-15): all Max candidates
-    // advance through one batched chain walk.
-    for (std::size_t idx = 0; idx < lanes; ++idx)
-      alphas_[idx] = (static_cast<double>(idx + 1) / max_spec) *
-                     head.alpha_base;  // Eq. 9
-    batch_.evaluateLanes(chain_, result.theta, ws_.dtheta_base,
-                         alphas_.data(), target, options_.clamp_to_limits, 0,
-                         lanes);
+    // of Eq. 9's ladder advance through one batched chain walk.
+    batch_.evaluateLadder(chain_, result.theta, ws_.dtheta_base,
+                          head.alpha_base, lanes, target,
+                          options_.clamp_to_limits, 0, lanes);
     result.fk_evaluations += max_spec;
     result.speculation_load += max_spec;
     ++result.iterations;

@@ -18,7 +18,10 @@
 // The sweep itself runs through kin::BatchedForward: one chain walk
 // carries all Max candidates' end-effector positions in SoA lanes,
 // from the tip to the base (the software mirror of the paper's FKU
-// array), in a single kernel call on the caller's thread.  Selection
+// array), in a single kernel call on the caller's thread.  The call is
+// BatchedForward::evaluateLadder: since the alpha_k form an arithmetic
+// ladder, the walk gives most candidates their joint (cos, sin) by one
+// angle-addition rotation instead of their own trig.  Selection
 // is a deterministic argmin with smallest-k tie-break, which is what
 // lets the IKAcc simulator's functional output be validated against
 // this class.
@@ -29,8 +32,6 @@
 // K candidates already fill the vector registers.  Independent
 // requests run in parallel across IkService workers.
 #pragma once
-
-#include <vector>
 
 #include "dadu/kinematics/forward_batch.hpp"
 #include "dadu/solvers/jt_common.hpp"
@@ -48,10 +49,9 @@ class QuickIkSolver final : public JtSolver {
 
  private:
   // Batched speculation workspace, sized once in the constructor and
-  // reused every iteration: the SoA FK kernel (owns candidates,
-  // positions and errors) and the alpha ladder.
+  // reused every iteration: the SoA FK kernel owns the alpha ladder,
+  // candidates, positions and errors.
   kin::BatchedForward batch_;
-  std::vector<double> alphas_;
 };
 
 }  // namespace dadu::ik

@@ -18,7 +18,6 @@ QuickIkAdaptiveSolver::QuickIkAdaptiveSolver(kin::Chain chain,
   // Warm the kernel workspace at the widest speculation count so later
   // reshapes never allocate.
   batch_.reset(chain_, static_cast<std::size_t>(options_.speculations));
-  alphas_.resize(static_cast<std::size_t>(options_.speculations));
 }
 
 SolveResult QuickIkAdaptiveSolver::solve(const linalg::Vec3& target,
@@ -30,13 +29,10 @@ SolveResult QuickIkAdaptiveSolver::solve(const linalg::Vec3& target,
     // is reshaped to `spec` lanes (allocation-free below the maximum)
     // and walks the chain once for all candidates.
     const auto lanes = static_cast<std::size_t>(spec);
-    for (std::size_t idx = 0; idx < lanes; ++idx)
-      alphas_[idx] = (static_cast<double>(idx + 1) / spec) *
-                     head.alpha_base;  // Eq. 9
     if (batch_.lanes() != lanes) batch_.reset(chain_, lanes);
-    batch_.evaluateLanes(chain_, result.theta, ws_.dtheta_base,
-                         alphas_.data(), target, options_.clamp_to_limits, 0,
-                         lanes);
+    batch_.evaluateLadder(chain_, result.theta, ws_.dtheta_base,
+                          head.alpha_base, lanes, target,
+                          options_.clamp_to_limits, 0, lanes);  // Eq. 9
     result.fk_evaluations += spec;
     result.speculation_load += spec;
     ++result.iterations;

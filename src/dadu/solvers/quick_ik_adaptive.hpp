@@ -12,8 +12,6 @@
 // On IKAcc this translates directly to skipped waves.
 #pragma once
 
-#include <vector>
-
 #include "dadu/kinematics/forward_batch.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
@@ -36,7 +34,6 @@ class QuickIkAdaptiveSolver final : public JtSolver {
   // iteration's speculation count (allocation-free below the maximum,
   // which the constructor warms up).
   kin::BatchedForward batch_;
-  std::vector<double> alphas_;
 };
 
 }  // namespace dadu::ik

@@ -12,7 +12,6 @@ QuickIkF32Solver::QuickIkF32Solver(kin::Chain chain, SolveOptions options)
     throw std::invalid_argument(
         "Quick-IK (f32) requires at least 1 speculation");
   batch_.reset(chain_, static_cast<std::size_t>(options_.speculations));
-  alphas_.resize(static_cast<std::size_t>(options_.speculations));
 }
 
 SolveResult QuickIkF32Solver::solve(const linalg::Vec3& target,
@@ -25,13 +24,10 @@ SolveResult QuickIkF32Solver::solve(const linalg::Vec3& target,
     // Speculative searches on the float datapath (SSU/FKU array): one
     // batched chain walk with every FK intermediate held in float.
     // Candidates are formed in double and never clamped, exactly like
-    // the scalar f32 path.
-    for (std::size_t idx = 0; idx < lanes; ++idx)
-      alphas_[idx] =
-          (static_cast<double>(idx + 1) / max_spec) * head.alpha_base;
-    batch_.evaluateLanes(chain_, result.theta, ws_.dtheta_base,
-                         alphas_.data(), target, /*clamp_to_limits=*/false, 0,
-                         lanes);
+    // the scalar f32 path; the f32 walk takes per-lane trig.
+    batch_.evaluateLadder(chain_, result.theta, ws_.dtheta_base,
+                          head.alpha_base, lanes, target,
+                          /*clamp_to_limits=*/false, 0, lanes);
     result.fk_evaluations += max_spec;
     result.speculation_load += max_spec;
     ++result.iterations;

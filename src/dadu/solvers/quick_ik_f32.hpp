@@ -10,8 +10,6 @@
 // is honest.
 #pragma once
 
-#include <vector>
-
 #include "dadu/kinematics/forward_batch.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
@@ -29,7 +27,6 @@ class QuickIkF32Solver final : public JtSolver {
   // Batched speculation workspace on the float datapath (candidates
   // and errors stay double, matching the scalar f32 path).
   kin::BatchedForward batch_{kin::BatchedForward::Precision::kF32};
-  std::vector<double> alphas_;
   linalg::VecX candidate_;  ///< winner staging, adopted only on improvement
 };
 

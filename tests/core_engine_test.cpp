@@ -10,6 +10,13 @@
 #include "dadu/workload/trajectory.hpp"
 
 namespace dadu {
+
+// Without this gtest prints a Backend as its raw bytes, so the listed
+// EngineBackend case names would shift whenever an enumerator is added
+// or removed.  It lives in dadu, Backend's namespace, for gtest's
+// argument-dependent lookup.
+void PrintTo(Backend b, std::ostream* os) { *os << toString(b); }
+
 namespace {
 
 TEST(BackendToString, AllNamed) {
@@ -35,8 +42,8 @@ INSTANTIATE_TEST_SUITE_P(All, EngineBackend,
                          ::testing::Values(Backend::kCpuSerial,
                                            Backend::kIkAcc, Backend::kJtSerial,
                                            Backend::kPinvSvd),
-                         [](const auto& info) {
-                           std::string n = toString(info.param);
+                         [](const auto& param_info) {
+                           std::string n = toString(param_info.param);
                            for (char& c : n)
                              if (c == '-') c = '_';
                            return n;

@@ -92,8 +92,8 @@ TEST_P(SolverFailureInjection, ZeroIterationBudget) {
 
 INSTANTIATE_TEST_SUITE_P(All, SolverFailureInjection,
                          ::testing::ValuesIn(solverNames()),
-                         [](const auto& info) {
-                           std::string n = info.param;
+                         [](const auto& param_info) {
+                           std::string n = param_info.param;
                            for (char& c : n)
                              if (c == '-') c = '_';
                            return n;

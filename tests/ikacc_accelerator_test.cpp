@@ -65,6 +65,9 @@ TEST(IkAccelerator, EquivalenceHoldsAcrossSsuCounts) {
     const auto r = hw.solve(task.target, task.seed);
     EXPECT_EQ(r.theta, sw.theta) << ssus << " SSUs";
     EXPECT_EQ(r.iterations, sw.iterations);
+    // theta is a candidate vector, which the walk's trig never touches;
+    // the error is where a wave-dependent walk would show.
+    EXPECT_EQ(r.error, sw.error) << ssus << " SSUs";
   }
 }
 
@@ -144,7 +147,9 @@ TEST(IkAccelerator, MoreSsusNeverSlower) {
     IkAccelerator hw(chain, options, cfg);
     (void)hw.solve(task.target, task.seed);
     const long long cycles = hw.lastStats().total_cycles;
-    if (prev_cycles >= 0) EXPECT_LE(cycles, prev_cycles) << ssus;
+    if (prev_cycles >= 0) {
+      EXPECT_LE(cycles, prev_cycles) << ssus;
+    }
     prev_cycles = cycles;
   }
 }

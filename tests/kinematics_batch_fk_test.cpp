@@ -1,8 +1,9 @@
 // Batched speculative FK kernel tests: lane-for-lane agreement with the
 // scalar per-candidate path (f64 and f32, revolute and prismatic,
-// identity and offset bases, clamped and free), independence from the lane-chunk split, solver
-// equivalence after the rewire, and an allocation audit of the solver
-// hot loop using a counting global operator new.
+// identity and offset bases, clamped and free, per-lane trig and Eq. 9's
+// ladder), independence from the lane-chunk split, solver equivalence
+// after the rewire, and an allocation audit of the solver hot loop using
+// a counting global operator new.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -77,6 +78,21 @@ std::vector<double> alphaLadder(int max_spec, double alpha_base) {
   return alphas;
 }
 
+/// Lanes [lo, hi) of alphaLadder(alphas.size(), alpha_base): the alpha
+/// array with per-lane trig, or Eq. 9's ladder (evaluateLadder).
+void sweepLanes(BatchedForward& batch, bool ladder, const kin::Chain& chain,
+                const linalg::VecX& theta, const linalg::VecX& dtheta,
+                const std::vector<double>& alphas, double alpha_base,
+                const linalg::Vec3& target, bool clamp, std::size_t lo,
+                std::size_t hi) {
+  if (ladder)
+    batch.evaluateLadder(chain, theta, dtheta, alpha_base, alphas.size(),
+                         target, clamp, lo, hi);
+  else
+    batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target, clamp,
+                        lo, hi);
+}
+
 // A chain mixing revolute and prismatic joints (every third joint
 // telescopes), exercising both per-joint kernels.
 kin::Chain makeMixedChain(std::size_t dof) {
@@ -127,18 +143,20 @@ TEST(BatchedForwardKinematics, MatchesScalarAcrossPresetsAndBatchSizes) {
         const auto ref =
             scalarSweep(chain, theta, dtheta, alphas, target, false);
 
-        BatchedForward batch;
-        batch.reset(chain, alphas.size());
-        batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target,
-                            false, 0, alphas.size());
-        for (std::size_t k = 0; k < alphas.size(); ++k) {
-          EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12)
-              << chain.name() << " " << dof << "-DOF K=" << k_count
-              << " lane " << k;
-          EXPECT_NEAR(batch.errors()[k], ref.error_k[k], 1e-12);
-          linalg::VecX cand;
-          batch.candidateInto(k, cand);
-          EXPECT_LT((cand - ref.theta_k[k]).norm(), 1e-15);
+        for (const bool ladder : {false, true}) {
+          BatchedForward batch;
+          batch.reset(chain, alphas.size());
+          sweepLanes(batch, ladder, chain, theta, dtheta, alphas, 0.37,
+                     target, false, 0, alphas.size());
+          for (std::size_t k = 0; k < alphas.size(); ++k) {
+            EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12)
+                << chain.name() << " " << dof << "-DOF K=" << k_count
+                << " ladder=" << ladder << " lane " << k;
+            EXPECT_NEAR(batch.errors()[k], ref.error_k[k], 1e-12);
+            linalg::VecX cand;
+            batch.candidateInto(k, cand);
+            EXPECT_LT((cand - ref.theta_k[k]).norm(), 1e-15);
+          }
         }
       }
     }
@@ -155,14 +173,17 @@ TEST(BatchedForwardKinematics, MatchesScalarOnPrismaticJoints) {
       const auto alphas = alphaLadder(16, 0.8);
       const auto ref =
           scalarSweep(chain, theta, dtheta, alphas, target, clamp);
-      BatchedForward batch;
-      batch.reset(chain, alphas.size());
-      batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target, clamp,
-                          0, alphas.size());
-      for (std::size_t k = 0; k < alphas.size(); ++k) {
-        EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12)
-            << chain.name() << " clamp=" << clamp << " lane " << k;
-        EXPECT_NEAR(batch.errors()[k], ref.error_k[k], 1e-12);
+      for (const bool ladder : {false, true}) {
+        BatchedForward batch;
+        batch.reset(chain, alphas.size());
+        sweepLanes(batch, ladder, chain, theta, dtheta, alphas, 0.8, target,
+                   clamp, 0, alphas.size());
+        for (std::size_t k = 0; k < alphas.size(); ++k) {
+          EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12)
+              << chain.name() << " clamp=" << clamp << " ladder=" << ladder
+              << " lane " << k;
+          EXPECT_NEAR(batch.errors()[k], ref.error_k[k], 1e-12);
+        }
       }
     }
   }
@@ -182,16 +203,19 @@ TEST(BatchedForwardKinematics, ClampedCandidatesMatchChainClamp) {
   const auto alphas = alphaLadder(16, 1.0);
   const auto ref = scalarSweep(chain, theta, dtheta, alphas, target, true);
 
-  BatchedForward batch;
-  batch.reset(chain, alphas.size());
-  batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target, true, 0,
-                      alphas.size());
-  for (std::size_t k = 0; k < alphas.size(); ++k) {
-    linalg::VecX cand;
-    batch.candidateInto(k, cand);
-    EXPECT_TRUE(chain.withinLimits(cand)) << "lane " << k;
-    EXPECT_LT((cand - ref.theta_k[k]).norm(), 1e-15);
-    EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12);
+  for (const bool ladder : {false, true}) {
+    BatchedForward batch;
+    batch.reset(chain, alphas.size());
+    sweepLanes(batch, ladder, chain, theta, dtheta, alphas, 1.0, target, true,
+               0, alphas.size());
+    for (std::size_t k = 0; k < alphas.size(); ++k) {
+      linalg::VecX cand;
+      batch.candidateInto(k, cand);
+      EXPECT_TRUE(chain.withinLimits(cand))
+          << "ladder=" << ladder << " lane " << k;
+      EXPECT_LT((cand - ref.theta_k[k]).norm(), 1e-15);
+      EXPECT_LT((batch.position(k) - ref.x_k[k]).norm(), 1e-12);
+    }
   }
 }
 
@@ -222,27 +246,30 @@ TEST(BatchedForwardKinematics, F32PrecisionMatchesScalarF32Path) {
 
 TEST(BatchedForwardKinematics, LaneChunkSplitIsIrrelevant) {
   // Evaluating [0,K) in one call or as disjoint chunks must produce
-  // identical lanes.
+  // identical lanes, in either form of the sweep.
   const auto chain = kin::makeSerpentine(50);
   const linalg::VecX theta = patternVec(50, 0.4, 0.0);
   const linalg::VecX dtheta = patternVec(50, 1.0, 1.0);
   const linalg::Vec3 target{0.3, 0.3, 0.3};
   const auto alphas = alphaLadder(64, 0.5);
 
-  BatchedForward whole;
-  whole.reset(chain, alphas.size());
-  whole.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 0,
-                      alphas.size());
+  for (const bool ladder : {false, true}) {
+    BatchedForward whole;
+    whole.reset(chain, alphas.size());
+    sweepLanes(whole, ladder, chain, theta, dtheta, alphas, 0.5, target,
+               false, 0, alphas.size());
 
-  BatchedForward split;
-  split.reset(chain, alphas.size());
-  for (std::size_t lo = 0; lo < alphas.size(); lo += 13)
-    split.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false,
-                        lo, std::min(alphas.size(), lo + 13));
+    BatchedForward split;
+    split.reset(chain, alphas.size());
+    for (std::size_t lo = 0; lo < alphas.size(); lo += 13)
+      sweepLanes(split, ladder, chain, theta, dtheta, alphas, 0.5, target,
+                 false, lo, std::min(alphas.size(), lo + 13));
 
-  for (std::size_t k = 0; k < alphas.size(); ++k) {
-    EXPECT_EQ(whole.position(k), split.position(k)) << "lane " << k;
-    EXPECT_EQ(whole.errors()[k], split.errors()[k]);
+    for (std::size_t k = 0; k < alphas.size(); ++k) {
+      EXPECT_EQ(whole.position(k), split.position(k))
+          << "ladder=" << ladder << " lane " << k;
+      EXPECT_EQ(whole.errors()[k], split.errors()[k]);
+    }
   }
 }
 

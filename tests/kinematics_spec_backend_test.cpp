@@ -1,10 +1,12 @@
 // Speculation-backend tests: registry/dispatch sanity, bit-exact
 // parity of every carried wide backend (AVX2, AVX-512) against the
 // scalar reference across DOF x K grids — revolute and prismatic
-// chains, identity and offset bases, clamped and free, ragged lane ranges, hostile lanes that take
-// the walk's libm trig fallback, grouped sweeps — the
-// walk-slicing cache seam (both precisions), and solver-level identity
-// at K > the slice budget.
+// chains, identity and offset bases, clamped and free, ragged lane
+// ranges, hostile lanes that take the walk's libm trig fallback,
+// grouped sweeps, and all of it again through Eq. 9's ladder
+// (evaluateLadder) with its fix-up lanes and wave-shaped partitions —
+// the walk-slicing cache seam (both precisions), and solver-level
+// identity at K > the slice budget.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -38,6 +40,8 @@ std::vector<const SpecBackend*> runnableBackends() {
   return out;
 }
 
+// Every third joint telescopes; of the revolute joints, every other one
+// has a DH angle offset, which the walk adds to each candidate angle.
 kin::Chain makeMixedChain(std::size_t dof) {
   std::vector<kin::Joint> joints;
   for (std::size_t i = 0; i < dof; ++i) {
@@ -48,6 +52,7 @@ kin::Chain makeMixedChain(std::size_t dof) {
       dh.theta = 0.2;
       joints.push_back(kin::prismatic(dh, 0.0, 0.15));
     } else {
+      if (i % 3 == 1) dh.theta = -0.7;
       joints.push_back(kin::revolute(dh));
     }
   }
@@ -77,6 +82,29 @@ std::vector<double> alphaLadder(int max_spec, double alpha_base) {
   for (int k = 1; k <= max_spec; ++k)
     alphas[k - 1] = (static_cast<double>(k) / max_spec) * alpha_base;
   return alphas;
+}
+
+/// The two forms of a sweep over alphaLadder(k_count, alpha_base): the
+/// alpha array with per-lane trig, and Eq. 9's ladder.
+enum class Form { kArray, kLadder };
+
+const char* formName(Form form) {
+  return form == Form::kArray ? "array" : "ladder";
+}
+
+void sweep(BatchedForward& batch, Form form, const kin::Chain& chain,
+           const linalg::VecX& theta, const linalg::VecX& dtheta,
+           double alpha_base, std::size_t k_count,
+           const linalg::Vec3& target, bool clamp, std::size_t lo,
+           std::size_t hi) {
+  if (form == Form::kLadder) {
+    batch.evaluateLadder(chain, theta, dtheta, alpha_base, k_count, target,
+                         clamp, lo, hi);
+  } else {
+    const auto alphas = alphaLadder(static_cast<int>(k_count), alpha_base);
+    batch.evaluateLanes(chain, theta, dtheta, alphas.data(), target, clamp,
+                        lo, hi);
+  }
 }
 
 /// The IEEE bit pattern of x (tells +0 from -0 and NaN payloads apart).
@@ -124,11 +152,12 @@ TEST(SpecBackendRegistry, OverrideRoundTrips) {
 // Every runnable wide backend must reproduce the scalar backend's
 // candidates, positions and errors bit-for-bit
 // across the DOF x K grid, on revolute-only and mixed prismatic
-// chains, with identity and offset bases, clamped and free.
+// chains, with identity and offset bases, clamped and free, in both
+// forms of the sweep.
 TEST(SpecBackendParity, BitExactAcrossDofKGrid) {
   const auto backends = runnableBackends();
   for (const std::size_t dof : {7u, 30u, 100u}) {
-    for (const int k_count : {8, 64, 256, 512}) {
+    for (const std::size_t k_count : {8u, 64u, 256u, 512u}) {
       const kin::Chain serpentine = kin::makeSerpentine(dof);
       const kin::Chain mixed = makeMixedChain(dof);
       for (const kin::Chain& chain :
@@ -137,35 +166,38 @@ TEST(SpecBackendParity, BitExactAcrossDofKGrid) {
         const linalg::VecX theta = patternVec(dof, 0.4, 0.3);
         const linalg::VecX dtheta = patternVec(dof, 1.1, 1.9);
         const linalg::Vec3 target{0.3, -0.2, 0.5};
-        const auto alphas = alphaLadder(k_count, 0.37);
 
-        for (const bool clamp : {false, true}) {
-          BatchedForward ref(BatchedForward::Precision::kF64,
-                             &kin::scalarSpecBackend());
-          ref.reset(chain, alphas.size());
-          ref.evaluateLanes(chain, theta, dtheta, alphas.data(), target,
-                            clamp, 0, alphas.size());
+        for (const Form form : {Form::kArray, Form::kLadder}) {
+          for (const bool clamp : {false, true}) {
+            BatchedForward ref(BatchedForward::Precision::kF64,
+                               &kin::scalarSpecBackend());
+            ref.reset(chain, k_count);
+            sweep(ref, form, chain, theta, dtheta, 0.37, k_count, target,
+                  clamp, 0, k_count);
 
-          for (const SpecBackend* backend : backends) {
-            if (backend == &kin::scalarSpecBackend()) continue;
-            BatchedForward wide(BatchedForward::Precision::kF64, backend);
-            wide.reset(chain, alphas.size());
-            wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target,
-                               clamp, 0, alphas.size());
-            for (std::size_t k = 0; k < alphas.size(); ++k) {
-              const linalg::Vec3 pr = ref.position(k);
-              const linalg::Vec3 pw = wide.position(k);
-              EXPECT_EQ(bitsOf(pr.x), bitsOf(pw.x))
-                  << backend->name() << " " << chain.name() << " dof=" << dof
-                  << " K=" << k_count << " clamp=" << clamp << " lane " << k;
-              EXPECT_EQ(bitsOf(pr.y), bitsOf(pw.y));
-              EXPECT_EQ(bitsOf(pr.z), bitsOf(pw.z));
-              EXPECT_EQ(bitsOf(ref.errors()[k]), bitsOf(wide.errors()[k]))
-                  << backend->name() << " lane " << k;
-              linalg::VecX cr, cw;
-              ref.candidateInto(k, cr);
-              wide.candidateInto(k, cw);
-              EXPECT_EQ(cr, cw) << backend->name() << " candidates lane " << k;
+            for (const SpecBackend* backend : backends) {
+              if (backend == &kin::scalarSpecBackend()) continue;
+              BatchedForward wide(BatchedForward::Precision::kF64, backend);
+              wide.reset(chain, k_count);
+              sweep(wide, form, chain, theta, dtheta, 0.37, k_count, target,
+                    clamp, 0, k_count);
+              for (std::size_t k = 0; k < k_count; ++k) {
+                const linalg::Vec3 pr = ref.position(k);
+                const linalg::Vec3 pw = wide.position(k);
+                EXPECT_EQ(bitsOf(pr.x), bitsOf(pw.x))
+                    << backend->name() << " " << formName(form) << " "
+                    << chain.name() << " dof=" << dof << " K=" << k_count
+                    << " clamp=" << clamp << " lane " << k;
+                EXPECT_EQ(bitsOf(pr.y), bitsOf(pw.y));
+                EXPECT_EQ(bitsOf(pr.z), bitsOf(pw.z));
+                EXPECT_EQ(bitsOf(ref.errors()[k]), bitsOf(wide.errors()[k]))
+                    << backend->name() << " lane " << k;
+                linalg::VecX cr, cw;
+                ref.candidateInto(k, cr);
+                wide.candidateInto(k, cw);
+                EXPECT_EQ(cr, cw)
+                    << backend->name() << " candidates lane " << k;
+              }
             }
           }
         }
@@ -181,28 +213,30 @@ TEST(SpecBackendParity, RaggedLaneRangesBitExact) {
   const linalg::VecX theta = patternVec(30, 0.4, 0.0);
   const linalg::VecX dtheta = patternVec(30, 1.0, 1.0);
   const linalg::Vec3 target{0.3, 0.3, 0.3};
-  const auto alphas = alphaLadder(13, 0.5);  // 13: never a lane multiple
+  const std::size_t k_count = 13;  // never a lane multiple
 
-  BatchedForward ref(BatchedForward::Precision::kF64,
-                     &kin::scalarSpecBackend());
-  ref.reset(chain, alphas.size());
-  ref.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 0,
-                    alphas.size());
+  for (const Form form : {Form::kArray, Form::kLadder}) {
+    BatchedForward ref(BatchedForward::Precision::kF64,
+                       &kin::scalarSpecBackend());
+    ref.reset(chain, k_count);
+    sweep(ref, form, chain, theta, dtheta, 0.5, k_count, target, false, 0,
+          k_count);
 
-  for (const SpecBackend* backend : runnableBackends()) {
-    BatchedForward wide(BatchedForward::Precision::kF64, backend);
-    wide.reset(chain, alphas.size());
-    // Odd split points: [0,5), [5,6), [6,13).
-    wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 0,
-                       5);
-    wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 5,
-                       6);
-    wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 6,
-                       13);
-    for (std::size_t k = 0; k < alphas.size(); ++k) {
-      EXPECT_EQ(ref.position(k), wide.position(k))
-          << backend->name() << " lane " << k;
-      EXPECT_EQ(ref.errors()[k], wide.errors()[k]);
+    for (const SpecBackend* backend : runnableBackends()) {
+      BatchedForward wide(BatchedForward::Precision::kF64, backend);
+      wide.reset(chain, k_count);
+      // Odd split points: [0,5), [5,6), [6,13).
+      sweep(wide, form, chain, theta, dtheta, 0.5, k_count, target, false, 0,
+            5);
+      sweep(wide, form, chain, theta, dtheta, 0.5, k_count, target, false, 5,
+            6);
+      sweep(wide, form, chain, theta, dtheta, 0.5, k_count, target, false, 6,
+            13);
+      for (std::size_t k = 0; k < k_count; ++k) {
+        EXPECT_EQ(ref.position(k), wide.position(k))
+            << backend->name() << " " << formName(form) << " lane " << k;
+        EXPECT_EQ(ref.errors()[k], wide.errors()[k]);
+      }
     }
   }
 }
@@ -309,6 +343,121 @@ TEST(SpecBackendParity, HostileRaggedLanesBitExact) {
     wide.evaluateLanes(chain, theta, dtheta, alphas.data(), target, false, 6,
                        alphas.size());
     expectSameLanes(ref, wide, alphas.size(), backend->name());
+  }
+}
+
+/// Hostile inputs for the ladder, which takes no alpha array: each
+/// variant patches one joint's theta/dtheta so that the ladder's fix-up
+/// pass owns some lanes.  "limits" clamps every revolute joint to
+/// [-0.5, 0.5] instead.
+struct LadderHostility {
+  const char* name;
+  std::size_t joint;
+  double theta, dtheta;
+};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const LadderHostility kLadderHostility[] = {
+    {"none", 0, 0.0, 0.0},
+    {"limits", 0, 0.0, 0.0},
+    // Lane angles run from 99980 past the 1e5 cutoff.
+    {"crosses cutoff", 0, 99980.0, 150.0},
+    // Block steps j * 8 / K * 0.37 * 5e5 leave the fast range while the
+    // base and many lane angles stay inside it.
+    {"huge block step", 1, -9e4, 5e5},
+    {"NaN dtheta", 2, 0.3, std::numeric_limits<double>::quiet_NaN()},
+    {"+Inf dtheta", 2, 0.3, kInf},
+    {"-Inf dtheta", 3, 0.3, -kInf},
+};
+
+/// `chain` with every revolute joint limited to [-0.5, 0.5].
+kin::Chain withRevoluteLimits(const kin::Chain& chain) {
+  std::vector<kin::Joint> joints = chain.joints();
+  for (kin::Joint& joint : joints) {
+    if (joint.type != kin::JointType::kRevolute) continue;
+    joint.min = -0.5;
+    joint.max = 0.5;
+  }
+  return kin::Chain(std::move(joints), chain.name() + "+limits",
+                    chain.base());
+}
+
+// The ladder's fix-up lanes — clamped, past the 1e5 cutoff, behind an
+// out-of-range block step, non-finite dtheta — on the DOF x K grid:
+// every wide backend matches the scalar reference bit for bit.
+TEST(SpecBackendParity, HostileLadderBitExactAcrossDofKGrid) {
+  for (const std::size_t dof : {7u, 30u, 100u}) {
+    for (const std::size_t k_count : {8u, 64u, 256u, 512u}) {
+      for (const bool mixed : {false, true}) {
+        for (const LadderHostility& h : kLadderHostility) {
+          const kin::Chain plain =
+              mixed ? makeMixedChain(dof) : kin::makeSerpentine(dof);
+          const bool limits = std::string(h.name) == "limits";
+          const kin::Chain chain = limits ? withRevoluteLimits(plain) : plain;
+          linalg::VecX theta = patternVec(dof, 0.4, 0.3);
+          linalg::VecX dtheta = patternVec(dof, 1.1, 1.9);
+          if (h.dtheta != 0.0) {
+            theta[h.joint] = h.theta;
+            dtheta[h.joint] = h.dtheta;
+          }
+          const linalg::Vec3 target{0.3, -0.2, 0.5};
+          for (const bool clamp : {false, true}) {
+            BatchedForward ref(BatchedForward::Precision::kF64,
+                               &kin::scalarSpecBackend());
+            ref.reset(chain, k_count);
+            ref.evaluateLadder(chain, theta, dtheta, 0.37, k_count, target,
+                               clamp, 0, k_count);
+            for (const SpecBackend* backend : runnableBackends()) {
+              if (backend == &kin::scalarSpecBackend()) continue;
+              BatchedForward wide(BatchedForward::Precision::kF64, backend);
+              wide.reset(chain, k_count);
+              wide.evaluateLadder(chain, theta, dtheta, 0.37, k_count,
+                                  target, clamp, 0, k_count);
+              expectSameLanes(ref, wide, k_count,
+                              (std::string(backend->name()) + " " + h.name)
+                                  .c_str());
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Wave-shaped partitions of the ladder — IKAcc's num_ssus-lane waves,
+// odd splits and one-lane waves, with hostile lanes — equal one call
+// over the whole range on every backend, bit for bit: each lane's
+// factors depend on its index only.
+TEST(SpecBackendParity, LadderWavePartitionsBitExact) {
+  const auto chain = withRevoluteLimits(makeMixedChain(30));
+  for (const std::size_t k_count : {13u, 64u, 300u, 512u}) {
+    for (const LadderHostility& h : kLadderHostility) {
+      linalg::VecX theta = patternVec(30, 0.4, 0.0);
+      linalg::VecX dtheta = patternVec(30, 1.0, 1.0);
+      if (h.dtheta != 0.0) {
+        theta[h.joint] = h.theta;
+        dtheta[h.joint] = h.dtheta;
+      }
+      const linalg::Vec3 target{0.3, 0.3, 0.3};
+      const bool clamp = std::string(h.name) == "limits";
+      BatchedForward ref(BatchedForward::Precision::kF64,
+                         &kin::scalarSpecBackend());
+      ref.reset(chain, k_count);
+      ref.evaluateLadder(chain, theta, dtheta, 0.5, k_count, target, clamp, 0,
+                         k_count);
+      for (const SpecBackend* backend : runnableBackends()) {
+        for (const std::size_t wave : {1u, 3u, 5u, 8u, 13u, 16u, 100u}) {
+          BatchedForward waves(BatchedForward::Precision::kF64, backend);
+          waves.reset(chain, k_count);
+          for (std::size_t lo = 0; lo < k_count; lo += wave)
+            waves.evaluateLadder(chain, theta, dtheta, 0.5, k_count, target,
+                                 clamp, lo, std::min(k_count, lo + wave));
+          expectSameLanes(ref, waves, k_count,
+                          (std::string(backend->name()) + " " + h.name +
+                           " wave " + std::to_string(wave))
+                              .c_str());
+        }
+      }
+    }
   }
 }
 

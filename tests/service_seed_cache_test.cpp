@@ -48,8 +48,9 @@ void expectParity(const SeedCacheConfig& config,
     const bool hit = scalar.lookup(queries[q], seed);
     scalar_hits += hit ? 1u : 0u;
     ASSERT_EQ(many_hits[q] != 0, hit) << "query " << q;
-    if (hit)
+    if (hit) {
       EXPECT_EQ(many_seeds[q], seed) << "query " << q << ": seed differs";
+    }
   }
   EXPECT_EQ(hit_count, scalar_hits);
 

@@ -126,7 +126,9 @@ TEST(JtIterationHead, AlphaBaseGuaranteesDescentInLinearModel) {
       theta[i] = 0.05 * static_cast<double>((s + 1) * (i % 5)) - 0.1;
     const linalg::Vec3 target{0.5, 0.1, 0.2};
     const auto head = jtIterationHead(chain, theta, target, ws);
-    if (!head.stalled) EXPECT_GE(head.alpha_base, 0.0);
+    if (!head.stalled) {
+      EXPECT_GE(head.alpha_base, 0.0);
+    }
   }
 }
 

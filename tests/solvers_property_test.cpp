@@ -37,8 +37,8 @@ TEST_P(SolverDeterminism, SameInputsSameOutputs) {
 INSTANTIATE_TEST_SUITE_P(All, SolverDeterminism,
                          ::testing::Values("jt-serial", "quick-ik",
                                            "pinv-svd", "dls", "sdls", "ccd"),
-                         [](const auto& info) {
-                           std::string n = info.param;
+                         [](const auto& param_info) {
+                           std::string n = param_info.param;
                            for (char& c : n)
                              if (c == '-') c = '_';
                            return n;
@@ -63,8 +63,8 @@ TEST_P(SolverErrorConsistency, ReportedErrorMatchesFkOfTheta) {
 INSTANTIATE_TEST_SUITE_P(All, SolverErrorConsistency,
                          ::testing::Values("jt-serial", "quick-ik", "pinv-svd",
                                            "dls", "sdls", "ccd"),
-                         [](const auto& info) {
-                           std::string n = info.param;
+                         [](const auto& param_info) {
+                           std::string n = param_info.param;
                            for (char& c : n)
                              if (c == '-') c = '_';
                            return n;

@@ -130,8 +130,12 @@ TEST(Targets, ClusteredTasksRespectJointLimits) {
   for (const auto& task : tasks)
     for (std::size_t j = 0; j < chain.dof(); ++j) {
       const auto& joint = chain.joint(j);
-      if (std::isfinite(joint.min)) EXPECT_GE(task.generator[j], joint.min);
-      if (std::isfinite(joint.max)) EXPECT_LE(task.generator[j], joint.max);
+      if (std::isfinite(joint.min)) {
+        EXPECT_GE(task.generator[j], joint.min);
+      }
+      if (std::isfinite(joint.max)) {
+        EXPECT_LE(task.generator[j], joint.max);
+      }
     }
 }
 
