@@ -134,6 +134,62 @@ void BM_SpeculationLadder(benchmark::State& state) {
 BENCHMARK(BM_SpeculationLadder)
     ->Args({12, 64})->Args({50, 64})->Args({100, 16})->Args({100, 64});
 
+void BM_SpeculationLadderClamped(benchmark::State& state) {
+  // BM_SpeculationLadder with clamp_to_limits on a chain whose limits
+  // bind: every revolute joint is limited to [-0.5, 0.5], so joints
+  // whose candidates the clamp moves take per-lane trig in the walk,
+  // args = {DOF, K}.
+  const auto free_chain =
+      dadu::kin::makeSerpentine(static_cast<std::size_t>(state.range(0)));
+  std::vector<dadu::kin::Joint> joints = free_chain.joints();
+  for (auto& joint : joints) {
+    joint.min = -0.5;
+    joint.max = 0.5;
+  }
+  const dadu::kin::Chain chain(std::move(joints), "serpentine+limits");
+  const auto k_count = static_cast<std::size_t>(state.range(1));
+  const auto task = dadu::workload::generateTask(chain, 0);
+  const auto seed = chain.clampToLimits(task.seed);
+  dadu::ik::JtWorkspace ws;
+  const auto head = dadu::ik::jtIterationHead(chain, seed, task.target, ws);
+  dadu::kin::BatchedForward batch;
+  batch.reset(chain, k_count);
+  for (auto _ : state) {
+    batch.evaluateLadder(chain, seed, ws.dtheta_base, head.alpha_base,
+                         k_count, task.target, true, 0, k_count);
+    benchmark::DoNotOptimize(batch.errors().data());
+    benchmark::ClobberMemory();
+  }
+  // Joints the last sweep gave per-lane trig.
+  std::size_t lane_trig = 0;
+  for (std::size_t i = 0; i < chain.dof(); ++i)
+    lane_trig += batch.laneTrigAt(i) ? 1 : 0;
+  state.counters["lane_trig_joints"] = static_cast<double>(lane_trig);
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_SpeculationLadderClamped)->Args({100, 16})->Args({100, 64});
+
+void BM_SpeculationPrepass(benchmark::State& state) {
+  // Phase 1 of BM_SpeculationLadder alone: the factor tables of every
+  // revolute joint, no walk, args = {DOF, K}.
+  const auto chain =
+      dadu::kin::makeSerpentine(static_cast<std::size_t>(state.range(0)));
+  const auto k_count = static_cast<std::size_t>(state.range(1));
+  const auto task = dadu::workload::generateTask(chain, 0);
+  dadu::ik::JtWorkspace ws;
+  const auto head =
+      dadu::ik::jtIterationHead(chain, task.seed, task.target, ws);
+  dadu::kin::BatchedForward batch;
+  batch.reset(chain, k_count);
+  for (auto _ : state) {
+    batch.prepassLadder(chain, task.seed, ws.dtheta_base, head.alpha_base,
+                        k_count, false, 0, k_count);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_SpeculationPrepass)->Args({100, 16})->Args({100, 64});
+
 void BM_QuickIkIteration(benchmark::State& state) {
   // One Quick-IK iteration = head + 64 speculative FK passes; measured
   // as a 1-iteration solve budget.

@@ -46,6 +46,7 @@ struct V4 {
   // Raw 64-bit lane ops for the trig quadrant fix-up (exact).
   static reg andBits(reg a, reg b) { return _mm256_and_pd(a, b); }
   static reg xorBits(reg a, reg b) { return _mm256_xor_pd(a, b); }
+  static reg orBits(reg a, reg b) { return _mm256_or_pd(a, b); }
   static reg shiftLeftBits(reg a, int n) {
     return _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_castpd_si256(a), n));
   }
@@ -58,11 +59,17 @@ struct V4 {
     const reg abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
     return _mm256_movemask_pd(_mm256_cmp_pd(abs, lim, _CMP_NLT_UQ)) != 0;
   }
-  /// True when some lane has a != b (ordered: NaN lanes never do).
-  static bool anyNotEqual(reg a, reg b) {
-    return _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_NEQ_OQ)) != 0;
+  /// All bits set where !(a == b) (NaN included), else zero.
+  static reg notEqualMask(reg a, reg b) {
+    return _mm256_cmp_pd(a, b, _CMP_NEQ_UQ);
   }
+  /// True when some lane of m has its sign bit set.
+  static bool anySign(reg m) { return _mm256_movemask_pd(m) != 0; }
 };
+
+/// Lane vectors per walking group: 2 x 3 position registers stay live
+/// across the chain walk, within the 16 ymm registers.
+constexpr std::size_t kGroupVectors = 2;
 
 class Avx2SpecBackend final : public SpecBackend {
  public:
@@ -70,17 +77,19 @@ class Avx2SpecBackend final : public SpecBackend {
 
   std::size_t laneMultiple() const override { return V4::width; }
 
-  void walkLanes(const Chain& chain, const SpecLaneBlock& ws,
-                 const linalg::VecX& theta, const linalg::VecX& dtheta,
-                 const double* alpha, bool clamp_to_limits, std::size_t lo,
-                 std::size_t hi) const override {
-    detail::walkPointLanesWide<V4>(chain, ws, theta, dtheta, alpha,
-                                   clamp_to_limits, lo, hi);
+  void prepass(const Chain& chain, const SpecLaneBlock& ws,
+               const linalg::VecX& theta, const linalg::VecX& dtheta,
+               bool clamp_to_limits, std::size_t lo,
+               std::size_t hi) const override {
+    detail::prepassWide<V4>(chain, ws, theta, dtheta, clamp_to_limits, lo, hi);
   }
 
-  void reduceErrors(const SpecLaneBlock& ws, const linalg::Vec3& target,
-                    std::size_t lo, std::size_t hi) const override {
-    detail::reduceErrorsWide<V4>(ws, target, lo, hi);
+  void walk(const Chain& chain, const SpecLaneBlock& ws,
+            const linalg::VecX& theta, const linalg::VecX& dtheta,
+            const linalg::Vec3& target, bool clamp_to_limits, std::size_t lo,
+            std::size_t hi) const override {
+    detail::walkLanesWide<V4, kGroupVectors>(chain, ws, theta, dtheta, target,
+                                            clamp_to_limits, lo, hi);
   }
 };
 

@@ -52,6 +52,10 @@ struct V8 {
     return _mm512_castsi512_pd(
         _mm512_xor_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
   }
+  static reg orBits(reg a, reg b) {
+    return _mm512_castsi512_pd(
+        _mm512_or_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
   static reg shiftLeftBits(reg a, unsigned n) {
     return _mm512_castsi512_pd(
         _mm512_maskz_slli_epi64(0xFF, _mm512_castpd_si512(a), n));
@@ -67,11 +71,21 @@ struct V8 {
   static bool anyAbsNotBelow(reg x, reg lim) {
     return _mm512_cmp_pd_mask(_mm512_abs_pd(x), lim, _CMP_NLT_UQ) != 0;
   }
-  /// True when some lane has a != b (ordered: NaN lanes never do).
-  static bool anyNotEqual(reg a, reg b) {
-    return _mm512_cmp_pd_mask(a, b, _CMP_NEQ_OQ) != 0;
+  /// All bits set where !(a == b) (NaN included), else zero.
+  static reg notEqualMask(reg a, reg b) {
+    return _mm512_castsi512_pd(_mm512_maskz_set1_epi64(
+        _mm512_cmp_pd_mask(a, b, _CMP_NEQ_UQ), -1));
+  }
+  /// True when some lane of m has its sign bit set.
+  static bool anySign(reg m) {
+    return _mm512_cmplt_epi64_mask(_mm512_castpd_si512(m),
+                                   _mm512_setzero_si512()) != 0;
   }
 };
+
+/// Lane vectors per walking group: 4 x 3 position registers stay live
+/// across the chain walk, within the 32 zmm registers.
+constexpr std::size_t kGroupVectors = 4;
 
 class Avx512SpecBackend final : public SpecBackend {
  public:
@@ -79,17 +93,19 @@ class Avx512SpecBackend final : public SpecBackend {
 
   std::size_t laneMultiple() const override { return V8::width; }
 
-  void walkLanes(const Chain& chain, const SpecLaneBlock& ws,
-                 const linalg::VecX& theta, const linalg::VecX& dtheta,
-                 const double* alpha, bool clamp_to_limits, std::size_t lo,
-                 std::size_t hi) const override {
-    detail::walkPointLanesWide<V8>(chain, ws, theta, dtheta, alpha,
-                                   clamp_to_limits, lo, hi);
+  void prepass(const Chain& chain, const SpecLaneBlock& ws,
+               const linalg::VecX& theta, const linalg::VecX& dtheta,
+               bool clamp_to_limits, std::size_t lo,
+               std::size_t hi) const override {
+    detail::prepassWide<V8>(chain, ws, theta, dtheta, clamp_to_limits, lo, hi);
   }
 
-  void reduceErrors(const SpecLaneBlock& ws, const linalg::Vec3& target,
-                    std::size_t lo, std::size_t hi) const override {
-    detail::reduceErrorsWide<V8>(ws, target, lo, hi);
+  void walk(const Chain& chain, const SpecLaneBlock& ws,
+            const linalg::VecX& theta, const linalg::VecX& dtheta,
+            const linalg::Vec3& target, bool clamp_to_limits, std::size_t lo,
+            std::size_t hi) const override {
+    detail::walkLanesWide<V8, kGroupVectors>(chain, ws, theta, dtheta, target,
+                                            clamp_to_limits, lo, hi);
   }
 };
 

@@ -1,14 +1,14 @@
-// The scalar/autovec reference backend: the original batched SoA
-// kernel behind the SpecBackend seam.  Compiled at -O3 with baseline
-// ISA flags so the compiler's autovectorizer does what it did before
-// the seam existed — this is the parity reference and the perf
-// baseline every wide backend must beat.  specSinCos, the walk's own
-// sin/cos, is defined here too, so it compiles with the kernel flags.
+// The scalar reference backend: walk_wide.hpp's two-phase walk over
+// ScalarLane, one lane per "vector".  Compiled at -O3 with baseline ISA
+// flags; this is the parity reference and the perf baseline every wide
+// backend must beat.  specSinCos, the walk's own sin/cos, is defined
+// here too, so it compiles with the kernel flags.
 #include "dadu/kinematics/backends/spec_backend.hpp"
 
 #include <cmath>
 
 #include "dadu/kinematics/backends/walk_ref.hpp"
+#include "dadu/kinematics/backends/walk_wide.hpp"
 
 namespace dadu::kin {
 namespace {
@@ -19,19 +19,20 @@ class ScalarSpecBackend final : public SpecBackend {
 
   std::size_t laneMultiple() const override { return 1; }
 
-  void walkLanes(const Chain& chain, const SpecLaneBlock& ws,
-                 const linalg::VecX& theta, const linalg::VecX& dtheta,
-                 const double* alpha, bool clamp_to_limits, std::size_t lo,
-                 std::size_t hi) const override {
-    detail::walkPointLanes(chain, ws, theta, dtheta, alpha, clamp_to_limits,
-                           lo, hi);
+  void prepass(const Chain& chain, const SpecLaneBlock& ws,
+               const linalg::VecX& theta, const linalg::VecX& dtheta,
+               bool clamp_to_limits, std::size_t lo,
+               std::size_t hi) const override {
+    detail::prepassWide<detail::ScalarLane>(chain, ws, theta, dtheta,
+                                            clamp_to_limits, lo, hi);
   }
 
-  void reduceErrors(const SpecLaneBlock& ws, const linalg::Vec3& target,
-                    std::size_t lo, std::size_t hi) const override {
-    detail::reduceErrors<double>(ws.pos, ws.pos + ws.stride,
-                                 ws.pos + 2 * ws.stride, ws.errors, target,
-                                 lo, hi);
+  void walk(const Chain& chain, const SpecLaneBlock& ws,
+            const linalg::VecX& theta, const linalg::VecX& dtheta,
+            const linalg::Vec3& target, bool clamp_to_limits, std::size_t lo,
+            std::size_t hi) const override {
+    detail::walkLanesWide<detail::ScalarLane, detail::kScalarGroupLanes>(
+        chain, ws, theta, dtheta, target, clamp_to_limits, lo, hi);
   }
 };
 

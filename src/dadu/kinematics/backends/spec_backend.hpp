@@ -1,24 +1,33 @@
 // Speculation-backend seam: pluggable kernels for the batched FK walk.
 //
-// kin::BatchedForward owns the SoA workspace (candidates, position
-// lanes, trig scratch, errors) and the *semantics* of a speculative
-// sweep; a SpecBackend owns the *arithmetic* — candidate formation,
-// the tip-to-base point walk (one DH-structured matrix-vector step per
-// joint on three position lanes, the chain base applied last), and the
-// per-lane error reduction over a contiguous lane range.  Three implementations ship
-// today: the scalar/autovec reference walk, an AVX2 kernel (4 f64
-// lanes per vector) and an AVX-512 kernel (8 lanes).  The seam is
-// deliberately wide enough for a GPU or IKAcc-model implementation to
-// slot in later: a backend advertises its preferred lane multiple and
-// BatchedForward pads its workspace to fit.
+// kin::BatchedForward owns the workspace (factor tables, position
+// rows, errors) and the *semantics* of a speculative sweep; a
+// SpecBackend owns the *arithmetic*, in two phases over a contiguous
+// lane range:
+//
+//   1. prepass: the trig that does not depend on the walk's state.  For
+//      Eq. 9's ladder, each revolute joint's kLadderBlock base factors
+//      and its block factors go into small per-joint tables, and the
+//      prepass picks each joint's trig form (JointTrig below).
+//   2. walk: each group of a few lane vectors carries its x, y, z from
+//      the tip to the base in registers — per joint a (cos, sin) from
+//      the tables or per lane, one DH-structured point step — then
+//      applies the chain base, reduces the error, and stores the
+//      position and error once.
+//
+// Three implementations ship today: the scalar reference walk (one
+// lane per "vector"), an AVX2 kernel (4 f64 lanes per vector) and an
+// AVX-512 kernel (8 lanes).  The seam is deliberately wide enough for a
+// GPU or IKAcc-model implementation to slot in later: a backend
+// advertises its preferred lane multiple and BatchedForward pads its
+// workspace to fit.
 //
 // Parity contract: a backend's results must match the scalar reference
 // bit for bit.  The wide kernels replicate the scalar operation order
 // exactly — the walk's own mul/add-only sin/cos (specSinCos below;
-// libm only for out-of-range lanes, in one shared fix-up pass), the
-// ladder's fixed block width kLadderBlock, mul/add without FMA
-// contraction, IEEE vector sqrt — and the parity suite compares every
-// tested DOF x K point bit for bit.
+// libm only for out-of-range lanes), the ladder's fixed block width
+// kLadderBlock, mul/add without FMA contraction, IEEE vector sqrt — and
+// the parity suite compares every tested DOF x K point bit for bit.
 //
 // Dispatch: dispatchedSpecBackend() picks the widest backend the CPU
 // supports (CPUID, checked once), overridable with the
@@ -46,26 +55,42 @@ namespace dadu::kin {
 /// stay bit-identical.
 inline constexpr std::size_t kLadderBlock = 8;
 
+/// How the walk forms one joint's (cos, sin), chosen per joint by the
+/// prepass.
+enum class JointTrig : unsigned char {
+  kLadder,       ///< Eq. 9's rotation of table factors, every lane
+  kLadderFixup,  ///< the rotation, with per-lane trig for fix-up lanes
+  kLanes,        ///< per-lane trig of every candidate angle
+  kPrismatic,    ///< fixed rotation; the candidate moves d
+};
+
 /// Borrowed view of BatchedForward's f64 workspace for one sweep.
-/// All arrays use the same padded lane stride; a kernel may only read
-/// or write lanes inside the range it was handed.  Only positions are
-/// carried (Quick-IK scores nothing else), not a 3x4 transform per lane.
+/// Lane arrays use the padded lane stride; a kernel may only read or
+/// write lanes inside the range it was handed.  Only positions are
+/// carried (Quick-IK scores nothing else).  The joint-major walk's
+/// fields are gone: the dof x K candidate matrix `cand` (the walk forms
+/// a lane's candidate in registers where it needs one) and the per-lane
+/// cos/sin scratch rows `ct`, `st`; `fc`, `fs` now hold every joint's
+/// factors, not one joint's.
 struct SpecLaneBlock {
-  double* pos = nullptr;              ///< x, y, z rows of `stride` lanes
-  double* cand = nullptr;             ///< dof x stride candidate matrix
-  double* ct = nullptr;               ///< per-lane cos scratch
-  double* st = nullptr;               ///< per-lane sin scratch
-  const double* trig = nullptr;       ///< Chain::dhTrig(): cos/sin alpha, cos/sin theta0
-  double* errors = nullptr;           ///< per-lane error output
-  std::size_t stride = 0;             ///< lane stride of cand rows
-  /// Eq. 9's ladder (evaluateLadder), or nullptr for per-lane trig:
+  const double* trig = nullptr;   ///< Chain::dhTrig(): cos/sin alpha, cos/sin theta0
+  /// Lane k's alpha_k: the caller's array (evaluateLanes) or Eq. 9's
+  /// ladder, lanes [0, kLadderBlock) always included (evaluateLadder).
+  const double* alpha = nullptr;
+  /// Eq. 9's ladder, or nullptr for per-lane trig:
   /// ladder_step[j] = (j * kLadderBlock / K) * alpha_base, the step
   /// from lane m to lane j * kLadderBlock + m per unit dtheta.
   const double* ladder_step = nullptr;
-  /// Ladder factor scratch (cos, sin): kLadderBlock base factors, then
-  /// one per lane block at index kLadderBlock + j.
+  /// Per-joint factor tables (cos, sin), `factor_stride` entries per
+  /// joint: kLadderBlock base factors, then block factor j at
+  /// kLadderBlock + j.  Written by the prepass.
   double* fc = nullptr;
   double* fs = nullptr;
+  std::size_t factor_stride = 0;
+  JointTrig* joint_trig = nullptr;  ///< per-joint form, written by the prepass
+  double* pos = nullptr;            ///< x, y, z rows of `stride` lanes
+  double* errors = nullptr;         ///< per-lane error output
+  std::size_t stride = 0;           ///< lane stride of the pos rows
 };
 
 /// One speculation kernel.  Implementations are stateless and
@@ -82,28 +107,26 @@ class SpecBackend {
   /// handle ragged tails internally.
   virtual std::size_t laneMultiple() const = 0;
 
-  /// Candidate formation + batched chain walk over lanes [lo, hi):
-  /// cand[i][k] = theta[i] + alpha[k] * dtheta[i] (clamped to joint
-  /// limits when asked), then each lane's point moves from the tip to
-  /// the base one joint at a time, using the chain's DH trig table and
-  /// the walk's sin/cos of each candidate angle — per lane, or through
-  /// Eq. 9's ladder when ws.ladder_step is set (alpha must then hold
-  /// the ladder, lanes [0, kLadderBlock) included); pos holds
-  /// f(theta_k).
-  virtual void walkLanes(const Chain& chain, const SpecLaneBlock& ws,
-                         const linalg::VecX& theta,
-                         const linalg::VecX& dtheta, const double* alpha,
-                         bool clamp_to_limits, std::size_t lo,
-                         std::size_t hi) const = 0;
+  /// Phase 1 over lanes [lo, hi): pick every joint's JointTrig and,
+  /// for Eq. 9's ladder (ws.ladder_step set), fill the revolute
+  /// joints' factor tables.
+  virtual void prepass(const Chain& chain, const SpecLaneBlock& ws,
+                       const linalg::VecX& theta, const linalg::VecX& dtheta,
+                       bool clamp_to_limits, std::size_t lo,
+                       std::size_t hi) const = 0;
 
-  /// errors[k] = ||target - position(k)|| for lanes [lo, hi),
-  /// accumulated x, y, z exactly like the scalar path.
-  virtual void reduceErrors(const SpecLaneBlock& ws,
-                            const linalg::Vec3& target, std::size_t lo,
-                            std::size_t hi) const = 0;
+  /// Phase 2 over lanes [lo, hi), after prepass() over the same range:
+  /// candidate k is theta + alpha[k] * dtheta (clamped to the joint
+  /// limits when asked); its point moves from the tip to the base and
+  /// through the chain base, pos holds f(theta_k) and errors[k] =
+  /// ||target - f(theta_k)||, accumulated x, y, z like the scalar path.
+  virtual void walk(const Chain& chain, const SpecLaneBlock& ws,
+                    const linalg::VecX& theta, const linalg::VecX& dtheta,
+                    const linalg::Vec3& target, bool clamp_to_limits,
+                    std::size_t lo, std::size_t hi) const = 0;
 };
 
-/// The scalar/autovec reference backend (always available).
+/// The scalar reference backend (always available).
 const SpecBackend& scalarSpecBackend();
 
 /// The speculation walk's sin/cos, as the scalar reference evaluates it:

@@ -1,54 +1,37 @@
-// Reference batched chain walks, shared by the scalar backend, the f32
-// datapath, and the ragged-tail handling of the wide backends.
+// Lane primitives of the batched chain walks: the walk's deterministic
+// sin/cos, the one-lane vector type the f64 walk uses for the scalar
+// backend and for every backend's ragged lanes, the candidate clamp, and
+// the f32 datapath's walk.
 //
-// These are autovectorizable SoA kernels: batch index innermost,
-// unit-stride lane loops, strict IEEE arithmetic in scalar program
-// order (no reassociation, no FMA — translation units including this
-// header compile with -ffp-contract=off so results are identical
-// whatever ISA the compiler autovectorizes them to).  Every other
-// backend is measured, and ULP-bounded, against this code.
+// Strict IEEE arithmetic in program order (no reassociation, no FMA —
+// translation units including this header compile with
+// -ffp-contract=off), so results are identical whatever ISA a backend
+// compiles them for.  The f64 walk itself is walk_wide.hpp, one
+// template over a vector type V: the scalar backend instantiates it
+// with ScalarLane below, the AVX2 and AVX-512 backends with their
+// 4- and 8-lane types.
 //
-// The f64 walk (walkPointLanes) computes only what Quick-IK scores: the
-// end-effector position of each candidate.  It applies Eq. 10 to one
-// point from the tip to the base, f(theta) = B * T_1(T_2(... T_N * 0)),
-// so each joint is one DH-structured matrix-vector step on three
-// position lanes (pointStep: 8 mul + 6 add per lane) and the chain base
-// B is applied once, at the end.  Its sin/cos is sinCosFast() below,
-// not libm: a Cody-Waite reduction plus Taylor polynomials built only
-// from IEEE mul/add/sub, so the wide backends can evaluate the same
-// function a vector at a time and stay bit-identical.  Angles that are
-// non-finite or at least kWalkTrigCutoff in magnitude take
-// std::sin/std::cos in a shared fix-up pass.  The trig pass is the
-// only part that differs between the two forms of the walk:
-//
-//   - per lane (evaluateLanes, any alpha array): sinCosLanes() takes
-//     sinCosFast of each of the K candidate angles;
-//   - Eq. 9's ladder (evaluateLadder): sinCosLadder() takes sinCosFast
-//     of kLadderBlock base angles and of one step angle per block of
-//     kLadderBlock lanes, and gives every other lane its (cos, sin) by
-//     one angle-addition rotation, 4 mul + 2 add.  Clamped lanes and
-//     lanes the ladder cannot describe take per-lane trig in a fix-up
-//     pass.
+// Everything here has internal linkage (an unnamed namespace): each
+// backend translation unit compiles it with its own ISA flags, and an
+// out-of-line copy shared through the linker could carry another
+// unit's instructions into the baseline one.
 //
 // The f32 walk (walkLanesF32, the FP32-FKU model) keeps the base-to-tip
 // 3x4 transform compose of endEffectorPositionF32 and libm trig.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
-#include "dadu/kinematics/backends/spec_backend.hpp"
 #include "dadu/kinematics/chain.hpp"
 #include "dadu/linalg/mat34_batch.hpp"
-#include "dadu/linalg/mat4.hpp"
 #include "dadu/linalg/vec.hpp"
 #include "dadu/linalg/vecx.hpp"
 
 namespace dadu::kin::detail {
+namespace {
 
 // ---- The walk's deterministic sin/cos ---------------------------------
 //
@@ -61,7 +44,8 @@ namespace dadu::kin::detail {
 // and negates them.  k is rounded with the 1.5 * 2^52 shifter, so its
 // low bits sit in the shifted value's mantissa and the quadrant needs
 // no float-to-int conversion.  Measured against glibc: at most 2 ULP
-// for |x| < kWalkTrigCutoff.
+// for |x| < kWalkTrigCutoff.  Angles that are non-finite or at least
+// kWalkTrigCutoff in magnitude take std::sin/std::cos instead.
 inline constexpr double kWalkTrigCutoff = 1e5;
 inline constexpr double kTwoOverPi = 0x1.45f306dc9c883p-1;
 inline constexpr double kRoundShifter = 0x1.8p52;
@@ -87,307 +71,121 @@ inline constexpr double kCos12 = 1.0 / 479001600.0;
 inline constexpr double kCos14 = -1.0 / 87178291200.0;
 inline constexpr double kCos16 = 1.0 / 20922789888000.0;
 inline constexpr double kCos18 = -1.0 / 6402373705728000.0;
-inline constexpr std::uint64_t kSignBit = 0x8000000000000000ULL;
 
 /// True when x must take the libm fallback (NaN and +-Inf included).
 inline bool outsideWalkTrig(double x) {
   return !(std::abs(x) < kWalkTrigCutoff);
 }
 
-inline std::uint64_t toBits(double x) { return std::bit_cast<std::uint64_t>(x); }
-inline double fromBits(std::uint64_t b) { return std::bit_cast<double>(b); }
+/// One f64 lane as a "vector" of width 1: the ops the walk templates
+/// need, with the semantics of the wide types' lane operations.
+struct ScalarLane {
+  static constexpr std::size_t width = 1;
+  using reg = double;
+  static reg load(const double* p) { return *p; }
+  static void store(double* p, reg v) { *p = v; }
+  static reg set1(double v) { return v; }
+  static reg add(reg a, reg b) { return a + b; }
+  static reg sub(reg a, reg b) { return a - b; }
+  static reg mul(reg a, reg b) { return a * b; }
+  static reg sqrt(reg a) { return std::sqrt(a); }
+  /// q < lim ? lim : q (NaN keeps q).
+  static reg clampBelow(reg q, reg lim) { return q < lim ? lim : q; }
+  /// q > lim ? lim : q.
+  static reg clampAbove(reg q, reg lim) { return q > lim ? lim : q; }
+  static reg andBits(reg a, reg b) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(a) &
+                                 std::bit_cast<std::uint64_t>(b));
+  }
+  static reg xorBits(reg a, reg b) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(a) ^
+                                 std::bit_cast<std::uint64_t>(b));
+  }
+  static reg shiftLeftBits(reg a, unsigned n) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(a) << n);
+  }
+  /// m's sign bit set ? b : a.
+  static reg selectBySign(reg m, reg a, reg b) {
+    return std::signbit(m) ? b : a;
+  }
+  /// !(|x| < lim) — NaN included.
+  static bool anyAbsNotBelow(reg x, reg lim) { return !(std::abs(x) < lim); }
+  /// All bits set where !(a == b) (NaN included), else zero.
+  static reg notEqualMask(reg a, reg b) {
+    return a == b ? 0.0 : std::bit_cast<double>(~std::uint64_t{0});
+  }
+  static reg orBits(reg a, reg b) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(a) |
+                                 std::bit_cast<std::uint64_t>(b));
+  }
+  /// True when some lane of m has its sign bit set.
+  static bool anySign(reg m) { return std::signbit(m); }
+};
 
-/// sin and cos of x for |x| < kWalkTrigCutoff; any value for other x
-/// (callers fix those lanes up).  sinCosLanesWide in walk_wide.hpp
-/// performs the same operations in the same order.
-inline void sinCosFast(double x, double& s, double& c) {
-  const double shifted = x * kTwoOverPi + kRoundShifter;
-  const double k = shifted - kRoundShifter;
-  const double r = ((x - k * kPio2Hi) - k * kPio2Mid) - k * kPio2Lo;
+/// s, c = sin, cos of x, V::width lanes at a time; any value for lanes
+/// outside the fast range (callers fix those up).  Written over V ops
+/// because not every ISA's autovectorizer takes the scalar code.
+/// Always inlined: as a call, its vector arguments and results would
+/// go through memory.
+template <typename V>
+[[gnu::always_inline]] inline void sinCosFastWide(typename V::reg x, typename V::reg& s,
+                    typename V::reg& c) {
+  const auto shifter = V::set1(kRoundShifter);
+  const auto sign = V::set1(-0.0);
+  const auto horner = [](typename V::reg p, typename V::reg r2, double k) {
+    return V::add(V::mul(p, r2), V::set1(k));
+  };
+  const auto shifted = V::add(V::mul(x, V::set1(kTwoOverPi)), shifter);
+  const auto kq = V::sub(shifted, shifter);
+  const auto r = V::sub(V::sub(V::sub(x, V::mul(kq, V::set1(kPio2Hi))),
+                               V::mul(kq, V::set1(kPio2Mid))),
+                        V::mul(kq, V::set1(kPio2Lo)));
   // sin r is evaluated on |r| and given r's sign back, which is exact
   // (the polynomial is odd) and keeps sin(-0) = -0.
-  const std::uint64_t r_sign = toBits(r) & kSignBit;
-  const double ra = fromBits(toBits(r) ^ r_sign);
-  const double r2 = r * r;
-  double ps = kSin17;
-  ps = ps * r2 + kSin15;
-  ps = ps * r2 + kSin13;
-  ps = ps * r2 + kSin11;
-  ps = ps * r2 + kSin9;
-  ps = ps * r2 + kSin7;
-  ps = ps * r2 + kSin5;
-  ps = ps * r2 + kSin3;
-  const double sr = fromBits(toBits(ra + (ra * r2) * ps) ^ r_sign);
-  double pc = kCos18;
-  pc = pc * r2 + kCos16;
-  pc = pc * r2 + kCos14;
-  pc = pc * r2 + kCos12;
-  pc = pc * r2 + kCos10;
-  pc = pc * r2 + kCos8;
-  pc = pc * r2 + kCos6;
-  pc = pc * r2 + kCos4;
-  pc = pc * r2 + kCos2;
-  const double cr = 1.0 + r2 * pc;
+  const auto r_sign = V::andBits(r, sign);
+  const auto ra = V::xorBits(r, r_sign);
+  const auto r2 = V::mul(r, r);
+  auto ps = V::set1(kSin17);
+  ps = horner(ps, r2, kSin15);
+  ps = horner(ps, r2, kSin13);
+  ps = horner(ps, r2, kSin11);
+  ps = horner(ps, r2, kSin9);
+  ps = horner(ps, r2, kSin7);
+  ps = horner(ps, r2, kSin5);
+  ps = horner(ps, r2, kSin3);
+  const auto sr = V::xorBits(V::add(ra, V::mul(V::mul(ra, r2), ps)), r_sign);
+  auto pc = V::set1(kCos18);
+  pc = horner(pc, r2, kCos16);
+  pc = horner(pc, r2, kCos14);
+  pc = horner(pc, r2, kCos12);
+  pc = horner(pc, r2, kCos10);
+  pc = horner(pc, r2, kCos8);
+  pc = horner(pc, r2, kCos6);
+  pc = horner(pc, r2, kCos4);
+  pc = horner(pc, r2, kCos2);
+  const auto cr = V::add(V::set1(1.0), V::mul(r2, pc));
   // Quadrant k mod 4 = low two bits of `shifted`: odd k swaps sin and
   // cos; bit 1 of k negates sin, bit 1 of k + 1 negates cos.
-  const std::uint64_t q = toBits(shifted);
-  const bool swap = (q & 1) != 0;
-  const std::uint64_t sin_sign = (q << 62) & kSignBit;
-  const std::uint64_t cos_sign = ((q ^ (q << 1)) << 62) & kSignBit;
-  s = fromBits(toBits(swap ? cr : sr) ^ sin_sign);
-  c = fromBits(toBits(swap ? sr : cr) ^ cos_sign);
+  const auto swap = V::shiftLeftBits(shifted, 63);  // bit 0 -> sign
+  const auto sin_sign = V::andBits(V::shiftLeftBits(shifted, 62), sign);
+  const auto cos_sign = V::andBits(
+      V::shiftLeftBits(V::xorBits(shifted, V::shiftLeftBits(shifted, 1)), 62),
+      sign);
+  s = V::xorBits(V::selectBySign(swap, sr, cr), sin_sign);
+  c = V::xorBits(V::selectBySign(swap, cr, sr), cos_sign);
 }
 
-/// The shared fix-up pass: lanes whose angle t0 + q[k] is outside the
-/// fast range take libm.  Every backend runs exactly this loop.
-inline void sinCosFallback(double t0, const double* q, double* ct, double* st,
-                           std::size_t lo, std::size_t hi) {
-  for (std::size_t k = lo; k < hi; ++k) {
-    const double x = t0 + q[k];
-    if (outsideWalkTrig(x)) {
-      ct[k] = std::cos(x);
-      st[k] = std::sin(x);
-    }
-  }
+/// sin and cos of one x for |x| < kWalkTrigCutoff (any value for other
+/// x): the one-lane sinCosFastWide.
+inline void sinCosFast(double x, double& s, double& c) {
+  sinCosFastWide<ScalarLane>(x, s, c);
 }
 
-/// ct[k] = cos(t0 + q[k]), st[k] = sin(t0 + q[k]) over lanes [lo, hi).
-inline void sinCosLanes(double t0, const double* q, double* ct, double* st,
-                        std::size_t lo, std::size_t hi) {
-  bool any_outside = false;
-  for (std::size_t k = lo; k < hi; ++k) {
-    const double x = t0 + q[k];
-    sinCosFast(x, st[k], ct[k]);
-    any_outside |= outsideWalkTrig(x);
-  }
-  if (any_outside) sinCosFallback(t0, q, ct, st, lo, hi);
-}
-
-// ---- Eq. 9's ladder ----------------------------------------------------
-//
-// evaluateLadder's candidates are q_k = theta_i + alpha_k * dtheta_i with
-// alpha_k = ((k + 1) / K) * alpha_base.  Write lane k = j * B + m, with
-// B = kLadderBlock and m < B.  Lane k's angle is lane m's plus
-//
-//   g_j = step[j] * dtheta_i,   step[j] = (j * B / K) * alpha_base
-//
-// (SpecLaneBlock::ladder_step; each product rounded in that order), so
-//
-//   cos x_k = c_m * C_j - s_m * S_j,   sin x_k = s_m * C_j + c_m * S_j
-//
-// with base factors (c_m, s_m) = sinCosFast(t0 + q_m) of the unclamped
-// candidate and block factors (C_j, S_j) = sinCosFast(g_j): B + K / B
-// trig evaluations per joint instead of K.  Block 0 copies its base
-// factors, so K <= B is per-lane trig exactly.  Both factors depend on
-// the lane's absolute index only, never on the lane range, so any
-// partition or slicing of [0, K) gives the same bits; a chained ladder
-// (block j rotated from block j - 1) would depend on where a range
-// starts, and its error would grow with K.  The rotation differs from
-// per-lane trig at x_k by the roundings of q_k, q_m, t0 + q_k, t0 + q_m
-// and g_j plus those of the factors and the rotation — a few ULPs of
-// max(|x_k|, 1) for joint-sized angles (DESIGN.md §4.5 derives the
-// bound; kinematics_walk_trig_test checks it).
-//
-// The fix-up pass (ladderFixup) gives per-lane trig — sinCosFast in
-// range, libm outside it — to lanes the clamp moved, lanes whose angle
-// t0 + q_k is outside the fast range or non-finite, and lanes whose
-// base or block factor angle is (those factors are poisoned to NaN, so
-// the rotation marks their lanes).
-
-/// Base factor m: cos/sin of t0 + (ti + alpha[m] * di), the unclamped
-/// candidate angle in formCandidates' operation order, into fc/fs[m];
-/// NaN (and true returned) when that angle is outside the fast range.
-inline bool ladderBaseFactor(double t0, double ti, double di,
-                             const double* alpha, std::size_t m, double* fc,
-                             double* fs) {
-  const double x = t0 + (ti + alpha[m] * di);
-  sinCosFast(x, fs[m], fc[m]);
-  if (!outsideWalkTrig(x)) return false;
-  fc[m] = fs[m] = std::numeric_limits<double>::quiet_NaN();
-  return true;
-}
-
-/// Block factor j >= 1: cos/sin of g_j = step[j] * di into
-/// fc/fs[kLadderBlock + j]; poisoned like ladderBaseFactor.
-inline bool ladderBlockFactor(const double* step, double di, std::size_t j,
-                              double* fc, double* fs) {
-  const double g = step[j] * di;
-  double* c = fc + kLadderBlock + j;
-  double* s = fs + kLadderBlock + j;
-  sinCosFast(g, *s, *c);
-  if (!outsideWalkTrig(g)) return false;
-  *c = *s = std::numeric_limits<double>::quiet_NaN();
-  return true;
-}
-
-/// Lane k's (cos, sin) from its base and block factors.
-inline void ladderLane(const double* fc, const double* fs, double* ct,
-                       double* st, std::size_t k) {
-  const std::size_t j = k / kLadderBlock, m = k % kLadderBlock;
-  if (j == 0) {
-    ct[k] = fc[m];
-    st[k] = fs[m];
-    return;
-  }
-  const double c = fc[m], s = fs[m];
-  const double cj = fc[kLadderBlock + j], sj = fs[kLadderBlock + j];
-  ct[k] = c * cj - s * sj;
-  st[k] = s * cj + c * sj;
-}
-
-/// The ladder's fix-up pass over lanes [lo, hi): per-lane trig for
-/// lanes whose angle is outside the fast range (libm), and for lanes
-/// the clamp moved or whose factor was poisoned (sinCosFast).  A lane
-/// was moved when q[k] differs from its unclamped value ti + alpha[k]
-/// * di.  Every backend runs exactly this loop.
-inline void ladderFixup(double t0, double ti, double di, const double* alpha,
-                        bool clamped, const double* q, double* ct, double* st,
-                        std::size_t lo, std::size_t hi) {
-  for (std::size_t k = lo; k < hi; ++k) {
-    const double x = t0 + q[k];
-    if (outsideWalkTrig(x)) {
-      ct[k] = std::cos(x);
-      st[k] = std::sin(x);
-    } else if (std::isnan(ct[k]) ||
-               (clamped && q[k] != ti + alpha[k] * di)) {
-      sinCosFast(x, st[k], ct[k]);
-    }
-  }
-}
-
-/// The ladder's trig pass for one revolute joint over lanes [lo, hi):
-/// ct[k], st[k] = cos, sin(t0 + q[k]).  `clamped` says whether the clamp
-/// moved any lane of this range.  Ranges shorter than one block take
-/// only the base factors their lanes use.
-inline void sinCosLadder(const SpecLaneBlock& ws, double t0, double ti,
-                         double di, const double* alpha, bool clamped,
-                         const double* q, std::size_t lo, std::size_t hi) {
-  bool poisoned = false;
-  if (hi - lo >= kLadderBlock) {
-    for (std::size_t m = 0; m < kLadderBlock; ++m)
-      poisoned |= ladderBaseFactor(t0, ti, di, alpha, m, ws.fc, ws.fs);
-  } else {
-    for (std::size_t k = lo; k < hi; ++k)
-      poisoned |=
-          ladderBaseFactor(t0, ti, di, alpha, k % kLadderBlock, ws.fc, ws.fs);
-  }
-  for (std::size_t j = std::max<std::size_t>(lo / kLadderBlock, 1);
-       j * kLadderBlock < hi; ++j)
-    poisoned |= ladderBlockFactor(ws.ladder_step, di, j, ws.fc, ws.fs);
-  bool any_outside = false;
-  for (std::size_t k = lo; k < hi; ++k) {
-    ladderLane(ws.fc, ws.fs, ws.ct, ws.st, k);
-    any_outside |= outsideWalkTrig(t0 + q[k]);
-  }
-  if (poisoned || any_outside || clamped)
-    ladderFixup(t0, ti, di, alpha, clamped, q, ws.ct, ws.st, lo, hi);
-}
-
-// Candidate joint values q[k] = theta_i + alpha[k] * dtheta_i over
-// lanes [lo, hi), clamped the same way Joint::clamp does.  Returns
-// whether the clamp moved any lane.
-inline bool formCandidates(const Joint& joint, double ti, double di,
-                           const double* alpha, bool clamp_to_limits,
-                           double* q, std::size_t lo, std::size_t hi) {
-  for (std::size_t k = lo; k < hi; ++k) q[k] = ti + alpha[k] * di;
-  bool clamped = false;
-  if (clamp_to_limits) {
-    const double qmin = joint.min, qmax = joint.max;
-    for (std::size_t k = lo; k < hi; ++k) {
-      clamped |= (q[k] < qmin) | (q[k] > qmax);
-      if (q[k] < qmin) q[k] = qmin;
-      if (q[k] > qmax) q[k] = qmax;
-    }
-  }
-  return clamped;
-}
-
-// One joint of the tip-to-base point walk over lanes [lo, hi):
-//
-//   v_k := {i-1}T_i(q_k) * v_k = RotZ(theta_k) * (RotX(alpha) * v_k + (a, 0, d_k))
-//
-// with ct/st holding cos/sin of each lane's total joint angle and ca/sa
-// those of the link twist.  The DH matrix's exact 0 and 1 entries are
-// never multiplied: 8 mul + 6 add per lane, plus the add that forms a
-// prismatic lane's d.  pointStepWide in walk_wide.hpp performs the
-// same operations in the same order.
-template <bool kPrismatic>
-void pointStep(double* vx, double* vy, double* vz, const double* ct,
-               const double* st, double ca, double sa, double a_len,
-               double d_fixed, const double* q, std::size_t lo,
-               std::size_t hi) {
-  for (std::size_t k = lo; k < hi; ++k) {
-    const double c = ct[k], s = st[k];
-    const double x = vx[k], y = vy[k], z = vz[k];
-    double dl;
-    if constexpr (kPrismatic)
-      dl = d_fixed + q[k];
-    else
-      dl = d_fixed;
-    const double wx = x + a_len;
-    const double wy = ca * y - sa * z;
-    const double wz = sa * y + ca * z + dl;
-    vx[k] = c * wx - s * wy;
-    vy[k] = s * wx + c * wy;
-    vz[k] = wz;
-  }
-}
-
-// p_k := B * v_k for the chain base B, each row accumulated left to
-// right as Mat4::transformPoint does.
-inline void applyBase(const linalg::Mat4& b, double* vx, double* vy,
-                      double* vz, std::size_t lo, std::size_t hi) {
-  for (std::size_t k = lo; k < hi; ++k) {
-    const double x = vx[k], y = vy[k], z = vz[k];
-    vx[k] = b(0, 0) * x + b(0, 1) * y + b(0, 2) * z + b(0, 3);
-    vy[k] = b(1, 0) * x + b(1, 1) * y + b(1, 2) * z + b(1, 3);
-    vz[k] = b(2, 0) * x + b(2, 1) * y + b(2, 2) * z + b(2, 3);
-  }
-}
-
-// One full f64 chain walk over lanes [lo, hi), joint-major from the tip
-// to the base: each joint forms its K candidate values, takes their
-// sin/cos into ct/st (sinCosLanes, or sinCosLadder when ws.ladder_step
-// is set), then moves the K points one joint closer to the base
-// (pointStep); the chain base is applied last.  The candidate rows are
-// filled in reverse joint order, which changes nothing — every row and
-// lane is independent.  Positions agree with the scalar Mat4 FK to
-// ~1e-15 (another association order, and the walk's own trig).
-inline void walkPointLanes(const Chain& chain, const SpecLaneBlock& ws,
-                           const linalg::VecX& theta,
-                           const linalg::VecX& dtheta, const double* alpha,
-                           bool clamp_to_limits, std::size_t lo,
-                           std::size_t hi) {
-  double* vx = ws.pos;
-  double* vy = ws.pos + ws.stride;
-  double* vz = ws.pos + 2 * ws.stride;
-  for (std::size_t k = lo; k < hi; ++k) vx[k] = vy[k] = vz[k] = 0.0;
-  for (std::size_t i = chain.dof(); i-- > 0;) {
-    const Joint& joint = chain.joint(i);
-    const DhParam& p = joint.dh;
-    const double* trig = ws.trig + 4 * i;
-    double* q = ws.cand + i * ws.stride;
-    const bool clamped = formCandidates(joint, theta[i], dtheta[i], alpha,
-                                        clamp_to_limits, q, lo, hi);
-    if (joint.type == JointType::kRevolute) {
-      if (ws.ladder_step != nullptr)
-        sinCosLadder(ws, p.theta, theta[i], dtheta[i], alpha, clamped, q, lo,
-                     hi);
-      else
-        sinCosLanes(p.theta, q, ws.ct, ws.st, lo, hi);
-      pointStep<false>(vx, vy, vz, ws.ct, ws.st, trig[0], trig[1], p.a, p.d,
-                       q, lo, hi);
-    } else {
-      // Prismatic: the rotation is fixed; only d varies per lane.
-      for (std::size_t k = lo; k < hi; ++k) {
-        ws.ct[k] = trig[2];
-        ws.st[k] = trig[3];
-      }
-      pointStep<true>(vx, vy, vz, ws.ct, ws.st, trig[0], trig[1], p.a, p.d,
-                      q, lo, hi);
-    }
-  }
-  applyBase(chain.base(), vx, vy, vz, lo, hi);
+/// Joint::clamp's if-chain, the candidate clamp every walk applies.
+inline double clampCandidate(double q, double qmin, double qmax) {
+  if (q < qmin) q = qmin;
+  if (q > qmax) q = qmax;
+  return q;
 }
 
 // ---- The f32 FKU model -------------------------------------------------
@@ -442,13 +240,12 @@ void advanceJointF32(linalg::Mat34BatchF& acc, const float* ct,
 }
 
 // One full f32 chain walk over lanes [lo, hi), base to tip: candidates
-// stay double (as forward_f32 takes them), every FK intermediate is
-// float with libm float trig.  `trig` is the f32 DH constant table laid
-// out like Chain::dhTrig(); `stride` is the padded lane stride of the
-// candidate matrix.
+// stay double (as forward_f32 takes them; each joint's row of them in
+// `q`, `stride` lanes wide), every FK intermediate is float with libm
+// float trig.  `trig` is the f32 DH constant table laid out like
+// Chain::dhTrig().
 inline void walkLanesF32(const Chain& chain, linalg::Mat34BatchF& acc,
-                         float* ct, float* st, double* cand,
-                         std::size_t stride, const float* trig,
+                         float* ct, float* st, double* q, const float* trig,
                          const linalg::VecX& theta,
                          const linalg::VecX& dtheta, const double* alpha,
                          bool clamp_to_limits, std::size_t lo,
@@ -457,9 +254,11 @@ inline void walkLanesF32(const Chain& chain, linalg::Mat34BatchF& acc,
   for (std::size_t i = 0; i < chain.dof(); ++i) {
     const Joint& joint = chain.joint(i);
     const DhParam& p = joint.dh;
-    double* q = cand + i * stride;
-    formCandidates(joint, theta[i], dtheta[i], alpha, clamp_to_limits, q, lo,
-                   hi);
+    const double ti = theta[i], di = dtheta[i];
+    for (std::size_t k = lo; k < hi; ++k) q[k] = ti + alpha[k] * di;
+    if (clamp_to_limits)
+      for (std::size_t k = lo; k < hi; ++k)
+        q[k] = clampCandidate(q[k], joint.min, joint.max);
 
     const float ca = trig[4 * i + 0];
     const float sa = trig[4 * i + 1];
@@ -485,14 +284,12 @@ inline void walkLanesF32(const Chain& chain, linalg::Mat34BatchF& acc,
   }
 }
 
-// e_k = ||target - p_k|| from the x, y, z position rows, accumulated
-// like Vec3::norm so the scalar path's errors are reproduced exactly.
-// f32 positions are widened to double first, as endEffectorPositionF32
-// does.
-template <typename T>
-void reduceErrors(const T* px, const T* py, const T* pz, double* err,
-                  const linalg::Vec3& target, std::size_t lo,
-                  std::size_t hi) {
+// e_k = ||target - p_k|| from the f32 x, y, z position rows, widened to
+// double first as endEffectorPositionF32 does, and accumulated like
+// Vec3::norm.
+inline void reduceErrorsF32(const float* px, const float* py, const float* pz,
+                            double* err, const linalg::Vec3& target,
+                            std::size_t lo, std::size_t hi) {
   const double tx = target.x, ty = target.y, tz = target.z;
   for (std::size_t k = lo; k < hi; ++k) {
     const double dx = tx - static_cast<double>(px[k]);
@@ -502,4 +299,5 @@ void reduceErrors(const T* px, const T* py, const T* pz, double* err,
   }
 }
 
+}  // namespace
 }  // namespace dadu::kin::detail

@@ -7,19 +7,24 @@
 // *total*, and carries positions only.
 //
 // f64: Eq. 10 applied to one point, f(theta) = B * T_1(T_2(... T_N * 0)),
-// evaluated from the tip to the base.  At each joint the kernel forms
-// the K candidate joint values, takes their K sin/cos with the walk's
-// own vectorizable sin/cos (backends/walk_ref.hpp), and moves K points
-// one joint closer to the base with one DH-structured matrix-vector
-// step, v := RotZ(theta) * (RotX(alpha) * v + (a, 0, d)) — 8 mul + 6
-// add per lane on three structure-of-arrays position rows (batch index
-// innermost).  The chain base B is applied once, at the end.  Quick-IK's
-// candidates form Eq. 9's arithmetic ladder, alpha_k = (k / K) *
-// alpha_base, and evaluateLadder() uses that: per joint it takes the
-// walk's sin/cos of 8 base angles and of one step angle per block of 8
-// lanes, and each other lane's (cos, sin) is one angle-addition
-// rotation (4 mul + 2 add); clamped lanes take per-lane trig.
-// evaluateLanes() takes any alpha array and per-lane trig.
+// evaluated from the tip to the base in two phases (backends/
+// walk_wide.hpp).  Phase 1, a trig prepass, takes the sin/cos that do
+// not depend on the walk's state: Quick-IK's candidates form Eq. 9's
+// arithmetic ladder, alpha_k = (k / K) * alpha_base, and
+// evaluateLadder() takes the walk's own vectorizable sin/cos of 8 base
+// angles and of one step angle per block of 8 lanes per revolute joint,
+// into small per-joint tables.  Phase 2, the walk: each group of a few
+// lane vectors carries its points from the tip to the base in
+// registers; per joint it forms each lane's (cos, sin) as one
+// angle-addition rotation of two table factors (4 mul + 2 add) and
+// moves the point one joint closer to the base with one DH-structured
+// matrix-vector step, v := RotZ(theta) * (RotX(alpha) * v + (a, 0, d)) —
+// 8 mul + 6 add per lane.  It applies the chain base B and reduces the
+// error before anything is stored.  Joints the ladder cannot describe
+// for some lane (clamped lanes, out-of-range angles) and prismatic
+// joints form the lane's candidate in registers and take per-lane trig;
+// evaluateLanes() takes any alpha array and per-lane trig at every
+// joint, through the same walk.
 //
 // f32 (the FP32-FKU model): K accumulator transforms in a
 // linalg::Mat34BatchF advance base to tip, reproducing
@@ -34,14 +39,13 @@
 #include <cstddef>
 #include <vector>
 
+#include "dadu/kinematics/backends/spec_backend.hpp"
 #include "dadu/kinematics/chain.hpp"
 #include "dadu/linalg/mat34_batch.hpp"
 #include "dadu/linalg/vec.hpp"
 #include "dadu/linalg/vecx.hpp"
 
 namespace dadu::kin {
-
-class SpecBackend;
 
 /// Batched FK over K speculative candidates.  Owns its workspace:
 /// reset() sizes it (idempotent, allocation-free once warm) and
@@ -65,10 +69,10 @@ class BatchedForward {
   /// in float (libm trig), candidates and errors still formed in double.
   enum class Precision { kF64, kF32 };
 
-  /// Cache-residency budget: the largest contiguous lane range walked
-  /// in one slice, for either precision.  Larger ranges are split into
-  /// slices of at most this many lanes, so each slice's position lanes
-  /// stay L1-resident across the whole chain walk.
+  /// The largest contiguous lane range walked in one slice, for either
+  /// precision.  Larger ranges are split into slices of at most this
+  /// many lanes (each slice takes its own prepass), so the f32 walk's
+  /// accumulator lanes stay L1-resident across the whole chain walk.
   static constexpr std::size_t kMaxWalkSliceLanes = 256;
 
   /// `backend` = nullptr binds the process-dispatched backend (CPUID +
@@ -103,9 +107,9 @@ class BatchedForward {
   ///   x_k     = f(theta_k)                  (one shared chain walk)
   ///   e_k     = ||target - x_k||
   ///
-  /// filling the candidate matrix, positions and errors for exactly
-  /// those lanes.  Distinct lane ranges touch disjoint memory, so calls
-  /// over any partition of [0, lanes) match one call over all of it.
+  /// filling positions and errors for exactly those lanes, with
+  /// per-lane trig.  Calls over any partition of [0, lanes) match one
+  /// call over all of it.
   void evaluateLanes(const Chain& chain, const linalg::VecX& theta,
                      const linalg::VecX& dtheta, const double* alpha,
                      const linalg::Vec3& target, bool clamp_to_limits,
@@ -119,12 +123,22 @@ class BatchedForward {
   /// range, so partitions and slicing stay bit-exact; they are within a
   /// few ULPs of evaluateLanes' per-lane trig, and equal to it for
   /// speculations <= kLadderBlock.  kF32 forms the same alpha array and
-  /// runs its per-lane walk.
+  /// runs its per-lane walk.  Both forms run the same f64 walk; only the
+  /// trig differs.
   void evaluateLadder(const Chain& chain, const linalg::VecX& theta,
                       const linalg::VecX& dtheta, double alpha_base,
                       std::size_t speculations, const linalg::Vec3& target,
                       bool clamp_to_limits, std::size_t lane_begin,
                       std::size_t lane_end);
+
+  /// Phase 1 of evaluateLadder alone (kF64): the factor tables and the
+  /// joints' trig forms for lanes [lane_begin, lane_end), no walk — for
+  /// timing the prepass on its own (bench/micro_kernels).  position()
+  /// and errors() are not updated.
+  void prepassLadder(const Chain& chain, const linalg::VecX& theta,
+                     const linalg::VecX& dtheta, double alpha_base,
+                     std::size_t speculations, bool clamp_to_limits,
+                     std::size_t lane_begin, std::size_t lane_end);
 
   /// One target's slice of a multi-target sweep: lanes
   /// [lane_begin, lane_end) form candidates theta + alpha[k] * dtheta
@@ -152,20 +166,44 @@ class BatchedForward {
   /// End-effector position of candidate k (widened to double for kF32).
   linalg::Vec3 position(std::size_t k) const;
 
-  /// Copy candidate k's joint vector into `out` (resized if needed —
-  /// allocation-free when the caller passes a dof-sized vector).
+  /// Candidate k's joint vector into `out` (resized if needed —
+  /// allocation-free when the caller passes a dof-sized vector),
+  /// recomputed as theta + alpha_k * dtheta, clamped when the sweep
+  /// clamped, bit for bit what the walk evaluated.  theta, dtheta and
+  /// the clamp are those of the latest evaluate call, alpha_k that of
+  /// the call that covered lane k; so after sweeps of one theta (every
+  /// solver, IKAcc's waves) any lane is valid, and after
+  /// evaluateGrouped only the last group's lanes are.
   void candidateInto(std::size_t k, linalg::VecX& out) const;
 
+  /// Whether the latest f64 slice gave revolute joint `joint` per-lane
+  /// trig — every joint in evaluateLanes, and in evaluateLadder the
+  /// joints with fix-up lanes (clamped lanes, angles outside the fast
+  /// trig range, poisoned factors) — rather than Eq. 9's rotation
+  /// alone.  False for prismatic joints.
+  bool laneTrigAt(std::size_t joint) const;
+
  private:
-  /// Walk + error-reduce lanes [lo, hi) against `target` in slices of
-  /// at most kMaxWalkSliceLanes, through the backend (kF64) or the f32
-  /// reference walk (kF32).
-  /// `ladder_step` (kF64 only): Eq. 9's block steps, or nullptr for
-  /// per-lane trig.
-  void slicedWalk(const Chain& chain, const linalg::VecX& theta,
-                  const linalg::VecX& dtheta, const double* alpha,
-                  const double* ladder_step, const linalg::Vec3& target,
-                  bool clamp_to_limits, std::size_t lo, std::size_t hi);
+  /// Copy what candidateInto recomputes a lane from: theta, dtheta, the
+  /// clamp flag and, when clamping, the joint limits.  The walks read
+  /// the copies too.
+  void keepCandidateInputs(const Chain& chain, const linalg::VecX& theta,
+                           const linalg::VecX& dtheta, bool clamp_to_limits);
+
+  /// Eq. 9's alphas for lanes [0, kLadderBlock) and [lane_begin,
+  /// lane_end) into alpha_; for kF64 also the block steps, returned
+  /// (nullptr for kF32).
+  const double* formLadder(double alpha_base, std::size_t speculations,
+                           std::size_t lane_begin, std::size_t lane_end);
+
+  /// Prepass (kF64) and, when `walk` is set, walk + error-reduce lanes
+  /// [lo, hi) against `target` in slices of at most kMaxWalkSliceLanes,
+  /// through the backend (kF64) or the f32 reference walk (kF32), over
+  /// the kept theta, dtheta and alpha_.  `ladder_step` (kF64 only): Eq.
+  /// 9's block steps, or nullptr for per-lane trig.
+  void slicedWalk(const Chain& chain, const double* ladder_step,
+                  const linalg::Vec3& target, bool walk, std::size_t lo,
+                  std::size_t hi);
 
   Precision precision_;
   const SpecBackend* backend_;
@@ -174,16 +212,26 @@ class BatchedForward {
   std::size_t dof_ = 0;
   /// High-water lanes per contiguous walk slice since the last reset().
   std::size_t max_walk_slice_lanes_ = 0;
-  std::vector<double> pos_;    ///< f64 x, y, z position rows (3 x stride)
-  linalg::Mat34BatchF acc_f_;  ///< f32 accumulator lanes
-  std::vector<double> cand_;   ///< dof x stride candidate matrix (SoA)
-  std::vector<double> ct_, st_;  ///< per-lane cos/sin scratch (f64)
-  /// evaluateLadder's alpha ladder (>= kLadderBlock lanes) and block
-  /// steps.
-  std::vector<double> alpha_, ladder_step_;
-  std::vector<double> fc_, fs_;  ///< ladder factor scratch (f64)
-  std::vector<float> ctf_, stf_;  ///< per-lane cos/sin scratch (f32)
   std::vector<double> errors_;
+  /// Lane k's alpha_k: Eq. 9's ladder (>= kLadderBlock lanes) or the
+  /// caller's array, copied.
+  std::vector<double> alpha_;
+  /// The latest call's theta, dtheta, clamp flag and joint limits.
+  linalg::VecX theta_, dtheta_;
+  std::vector<double> qmin_, qmax_;
+  bool clamp_ = false;
+  // f64 workspace.
+  std::vector<double> pos_;          ///< x, y, z position rows (3 x stride)
+  std::vector<double> ladder_step_;  ///< Eq. 9's block steps
+  /// Per-joint factor tables (cos, sin): kLadderBlock base factors, then
+  /// one per lane block, factor_stride_ entries per joint.
+  std::vector<double> fc_, fs_;
+  std::size_t factor_stride_ = 0;
+  std::vector<JointTrig> joint_trig_;  ///< per-joint trig form (prepass)
+  // f32 workspace.
+  linalg::Mat34BatchF acc_f_;     ///< f32 accumulator lanes
+  std::vector<double> q_f_;       ///< one joint's candidates
+  std::vector<float> ctf_, stf_;  ///< per-lane cos/sin scratch
   // f32 per-joint DH trig constants, laid out like Chain::dhTrig() but
   // evaluated in float on the float-narrowed angles, as the f32 scalar
   // walk does.  The f64 walk reads Chain::dhTrig() directly.

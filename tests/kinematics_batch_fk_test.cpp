@@ -6,9 +6,19 @@
 // a counting global operator new.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <new>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/forward_batch.hpp"
@@ -29,16 +39,27 @@ long long allocationCount() {
 }
 }  // namespace
 
-void* operator new(std::size_t size) {
+//
+// The replacements are never inlined, so every call site pairs an
+// `operator new` call with an `operator delete` call.  Inlined, GCC 12
+// sees `std::free` applied to a pointer from `operator new` and reports
+// -Wmismatched-new-delete, although malloc and free match here.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dadu {
 namespace {
@@ -316,6 +337,311 @@ TEST(BatchedForwardKinematics, SolverIterationsAllocateNothingOnceWarm) {
   const long long long_run = solve_allocs(64);
   EXPECT_EQ(short_run, long_run)
       << "per-iteration allocations detected in the speculation loop";
+}
+
+// ---------------------------------------------------------------------------
+// Golden bits.  The parity suites compare backends with each other; these
+// hashes pin the f64 walk to fixed bits.  They were recorded from the
+// joint-major walk (one pass over all lanes per joint, a dof x K candidate
+// matrix and per-lane cos/sin scratch rows) and must not change when the
+// walk's structure changes: every lane performs the same IEEE operations.
+
+/// FNV-1a over 64-bit words.  NaNs hash as one canonical pattern (their
+/// payloads are not part of the walk's contract).
+struct BitHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(double x) {
+    std::uint64_t bits = 0x7ff8000000000000ULL;
+    if (!std::isnan(x)) std::memcpy(&bits, &x, sizeof x);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// Every lane's error, position and candidate, in lane order.
+std::uint64_t lanesHash(const BatchedForward& batch, std::size_t lanes) {
+  BitHash hash;
+  linalg::VecX cand;
+  for (std::size_t k = 0; k < lanes; ++k) {
+    hash.add(batch.errors()[k]);
+    const linalg::Vec3 p = batch.position(k);
+    hash.add(p.x);
+    hash.add(p.y);
+    hash.add(p.z);
+    batch.candidateInto(k, cand);
+    for (std::size_t i = 0; i < cand.size(); ++i) hash.add(cand[i]);
+  }
+  return hash.h;
+}
+
+/// `chain` with every revolute joint limited to [-0.5, 0.5], so the
+/// clamp binds on some lanes of most joints.
+kin::Chain withRevoluteLimits(const kin::Chain& chain) {
+  std::vector<kin::Joint> joints = chain.joints();
+  for (kin::Joint& joint : joints) {
+    if (joint.type != kin::JointType::kRevolute) continue;
+    joint.min = -0.5;
+    joint.max = 0.5;
+  }
+  return kin::Chain(std::move(joints), chain.name() + "+limits",
+                    chain.base());
+}
+
+/// makeMixedChain with a DH angle offset on every other revolute joint
+/// (the walk adds it to each candidate angle).
+kin::Chain makeOffsetMixedChain(std::size_t dof) {
+  std::vector<kin::Joint> joints = makeMixedChain(dof).joints();
+  for (std::size_t i = 0; i < dof; ++i)
+    if (i % 3 == 1) joints[i].dh.theta = -0.7;
+  return kin::Chain(std::move(joints), "mixed-offset");
+}
+
+/// Lane partitions every golden sweep runs: one call over all lanes,
+/// ragged splits at lanes 5 and 6, and IKAcc-style waves of 1, 3 and 32
+/// lanes.
+using LanePartition = std::vector<std::pair<std::size_t, std::size_t>>;
+std::vector<LanePartition> goldenPartitions(std::size_t lanes) {
+  std::vector<LanePartition> parts = {{{0, lanes}}, {}};
+  std::size_t lo = 0;
+  for (const std::size_t cut : {std::size_t{5}, std::size_t{6}, lanes}) {
+    if (std::min(cut, lanes) <= lo) continue;
+    parts.back().push_back({lo, std::min(cut, lanes)});
+    lo = std::min(cut, lanes);
+  }
+  for (const std::size_t wave : {1u, 3u, 32u}) {
+    parts.emplace_back();
+    for (std::size_t w = 0; w < lanes; w += wave)
+      parts.back().push_back({w, std::min(lanes, w + wave)});
+  }
+  return parts;
+}
+
+struct GoldenCase {
+  const char* name;
+  std::uint64_t hash;
+};
+
+// One hash per chain x form x hostility x clamp, over K in
+// {1, 7, 8, 9, 16, 64, 100}.  "far" puts one mid-chain joint's lane
+// angles across the walk's 1e5 trig cutoff; "nan" gives another
+// mid-chain joint a NaN dtheta.
+const GoldenCase kGoldenCases[] = {
+    {"kuka-iiwa14/ladder/far/clamp", 0xac5f7af9eea68f54ULL},
+    {"kuka-iiwa14/ladder/far/free", 0x917b7f72c08cca40ULL},
+    {"kuka-iiwa14/ladder/nan/clamp", 0x7cb2ed65245a1010ULL},
+    {"kuka-iiwa14/ladder/nan/free", 0x7cb2ed65245a1010ULL},
+    {"kuka-iiwa14/ladder/plain/clamp", 0xcf75591e679b724aULL},
+    {"kuka-iiwa14/ladder/plain/free", 0xcf75591e679b724aULL},
+    {"kuka-iiwa14/lanes/far/clamp", 0xdef03181ef3516e0ULL},
+    {"kuka-iiwa14/lanes/far/free", 0xefb39de282732fcfULL},
+    {"kuka-iiwa14/lanes/nan/clamp", 0x7cb2ed65245a1010ULL},
+    {"kuka-iiwa14/lanes/nan/free", 0x7cb2ed65245a1010ULL},
+    {"kuka-iiwa14/lanes/plain/clamp", 0xe023781ae07a73ffULL},
+    {"kuka-iiwa14/lanes/plain/free", 0xe023781ae07a73ffULL},
+    {"mixed-offset+base/ladder/far/clamp", 0x7c9d15e868a8c78cULL},
+    {"mixed-offset+base/ladder/far/free", 0x5a26be31a366ce6bULL},
+    {"mixed-offset+base/ladder/nan/clamp", 0x72370226cd9fbb3dULL},
+    {"mixed-offset+base/ladder/nan/free", 0x1e467cb241023e51ULL},
+    {"mixed-offset+base/ladder/plain/clamp", 0x32d4fef5afa4b64cULL},
+    {"mixed-offset+base/ladder/plain/free", 0x25aef51218ed0262ULL},
+    {"mixed-offset+base/lanes/far/clamp", 0xff910f81db8c7e77ULL},
+    {"mixed-offset+base/lanes/far/free", 0x3716e24cb08522f6ULL},
+    {"mixed-offset+base/lanes/nan/clamp", 0x72370226cd9fbb3dULL},
+    {"mixed-offset+base/lanes/nan/free", 0x1e467cb241023e51ULL},
+    {"mixed-offset+base/lanes/plain/clamp", 0xcb1d5a3c5a91c442ULL},
+    {"mixed-offset+base/lanes/plain/free", 0xb4b6ee3b65effd3aULL},
+    {"serpentine-100dof+limits/ladder/far/clamp", 0xd0d8983a71a90634ULL},
+    {"serpentine-100dof+limits/ladder/far/free", 0xbe7af56b6a349c20ULL},
+    {"serpentine-100dof+limits/ladder/nan/clamp", 0x8a0cc59c0d93b30cULL},
+    {"serpentine-100dof+limits/ladder/nan/free", 0x78905249b3a2ddffULL},
+    {"serpentine-100dof+limits/ladder/plain/clamp", 0xb2d2d33bb079681bULL},
+    {"serpentine-100dof+limits/ladder/plain/free", 0xa14feebc39a4d7ebULL},
+    {"serpentine-100dof+limits/lanes/far/clamp", 0x249dc868514e5d99ULL},
+    {"serpentine-100dof+limits/lanes/far/free", 0x6defc9e7c94eec9cULL},
+    {"serpentine-100dof+limits/lanes/nan/clamp", 0x8a0cc59c0d93b30cULL},
+    {"serpentine-100dof+limits/lanes/nan/free", 0x78905249b3a2ddffULL},
+    {"serpentine-100dof+limits/lanes/plain/clamp", 0x6cf747821317dbd3ULL},
+    {"serpentine-100dof+limits/lanes/plain/free", 0x5f35da321c471ef4ULL},
+    {"serpentine-100dof/ladder/far/clamp", 0xbe7af56b6a349c20ULL},
+    {"serpentine-100dof/ladder/far/free", 0xbe7af56b6a349c20ULL},
+    {"serpentine-100dof/ladder/nan/clamp", 0x78905249b3a2ddffULL},
+    {"serpentine-100dof/ladder/nan/free", 0x78905249b3a2ddffULL},
+    {"serpentine-100dof/ladder/plain/clamp", 0xa14feebc39a4d7ebULL},
+    {"serpentine-100dof/ladder/plain/free", 0xa14feebc39a4d7ebULL},
+    {"serpentine-100dof/lanes/far/clamp", 0x6defc9e7c94eec9cULL},
+    {"serpentine-100dof/lanes/far/free", 0x6defc9e7c94eec9cULL},
+    {"serpentine-100dof/lanes/nan/clamp", 0x78905249b3a2ddffULL},
+    {"serpentine-100dof/lanes/nan/free", 0x78905249b3a2ddffULL},
+    {"serpentine-100dof/lanes/plain/clamp", 0x5f35da321c471ef4ULL},
+    {"serpentine-100dof/lanes/plain/free", 0x5f35da321c471ef4ULL},
+    {"serpentine-12dof/ladder/far/clamp", 0xb709dfb5208d432ULL},
+    {"serpentine-12dof/ladder/far/free", 0xb709dfb5208d432ULL},
+    {"serpentine-12dof/ladder/nan/clamp", 0x792abefbc689882aULL},
+    {"serpentine-12dof/ladder/nan/free", 0x792abefbc689882aULL},
+    {"serpentine-12dof/ladder/plain/clamp", 0xfabc147dac3a17bcULL},
+    {"serpentine-12dof/ladder/plain/free", 0xfabc147dac3a17bcULL},
+    {"serpentine-12dof/lanes/far/clamp", 0x3e5da84bfe60620bULL},
+    {"serpentine-12dof/lanes/far/free", 0x3e5da84bfe60620bULL},
+    {"serpentine-12dof/lanes/nan/clamp", 0x792abefbc689882aULL},
+    {"serpentine-12dof/lanes/nan/free", 0x792abefbc689882aULL},
+    {"serpentine-12dof/lanes/plain/clamp", 0x8235f6577575d451ULL},
+    {"serpentine-12dof/lanes/plain/free", 0x8235f6577575d451ULL},
+};
+
+TEST(BatchedForwardGoldenBits, WalkMatchesRecordedBits) {
+  const std::vector<kin::Chain> chains = {
+      kin::makeSerpentine(12), kin::makeSerpentine(100),
+      withRevoluteLimits(kin::makeSerpentine(100)), kin::makeKukaIiwa(),
+      withOffsetBase(makeOffsetMixedChain(30))};
+  const linalg::Vec3 target{0.3, -0.2, 0.5};
+  const double alpha_base = 0.37;
+  std::size_t checked = 0;
+  for (const kin::Chain& chain : chains) {
+    const std::size_t dof = chain.dof();
+    for (const bool ladder : {false, true}) {
+      for (const char* hostility : {"plain", "far", "nan"}) {
+        linalg::VecX theta = patternVec(dof, 1.5, 0.3);
+        linalg::VecX dtheta = patternVec(dof, 3.0, 1.9);
+        if (std::string(hostility) == "far") {
+          theta[dof / 2] = 99990.0;
+          dtheta[dof / 2] = 40.0;
+        } else if (std::string(hostility) == "nan") {
+          dtheta[dof / 3] = std::numeric_limits<double>::quiet_NaN();
+        }
+        for (const bool clamp : {false, true}) {
+          const std::string name = chain.name() + "/" +
+                                   (ladder ? "ladder" : "lanes") + "/" +
+                                   hostility + (clamp ? "/clamp" : "/free");
+          BitHash combined;
+          for (const std::size_t k_count : {1u, 7u, 8u, 9u, 16u, 64u, 100u}) {
+            const auto alphas =
+                alphaLadder(static_cast<int>(k_count), alpha_base);
+            std::uint64_t whole = 0;
+            for (const auto& part : goldenPartitions(k_count)) {
+              BatchedForward batch;
+              batch.reset(chain, k_count);
+              for (const auto& [lo, hi] : part)
+                sweepLanes(batch, ladder, chain, theta, dtheta, alphas,
+                           alpha_base, target, clamp, lo, hi);
+              const std::uint64_t h = lanesHash(batch, k_count);
+              if (part.size() == 1) whole = h;
+              EXPECT_EQ(h, whole) << name << " K=" << k_count << " split into "
+                                  << part.size() << " calls";
+            }
+            combined.add(std::bit_cast<double>(whole));
+          }
+          const auto it = std::find_if(
+              std::begin(kGoldenCases), std::end(kGoldenCases),
+              [&](const GoldenCase& c) { return name == c.name; });
+          const std::uint64_t expected =
+              it != std::end(kGoldenCases) ? it->hash : 0;
+          EXPECT_EQ(combined.h, expected)
+              << "{\"" << name << "\", 0x" << std::hex << combined.h << "ULL},";
+          checked += it != std::end(kGoldenCases);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGoldenCases));
+}
+
+/// serpentine:100 with one mid-chain joint limited so that the clamp
+/// moves some of its lanes and not others; every other joint is free.
+constexpr std::size_t kLimitedJoint = 57;
+kin::Chain oneLimitedJointChain() {
+  std::vector<kin::Joint> joints = kin::makeSerpentine(100).joints();
+  joints[kLimitedJoint].min = -0.5;
+  joints[kLimitedJoint].max = 0.5;
+  return kin::Chain(std::move(joints), "serpentine-100dof+one-limit");
+}
+
+// Recorded like kGoldenCases: oneLimitedJointChain's clamped ladder
+// sweep at K = 64, whole and in IKAcc-style waves.
+constexpr std::uint64_t kOneLimitedJointHash = 0x25984dfbf9dfb94ULL;
+
+TEST(BatchedForwardGoldenBits, OnlyTheClampedJointTakesLaneTrig) {
+  const kin::Chain chain = oneLimitedJointChain();
+  linalg::VecX theta = patternVec(100, 0.4, 0.3);
+  linalg::VecX dtheta = patternVec(100, 1.1, 1.9);
+  // The limited joint's candidates run from 0.3 to 0.3 + 0.37 * 1.1 =
+  // 0.707: the clamp moves lanes k >= 31 to 0.5.
+  theta[kLimitedJoint] = 0.3;
+  dtheta[kLimitedJoint] = 1.1;
+  const linalg::Vec3 target{0.3, -0.2, 0.5};
+  const std::size_t k_count = 64;
+  for (const auto& part : goldenPartitions(k_count)) {
+    BatchedForward batch;
+    batch.reset(chain, k_count);
+    for (const auto& [lo, hi] : part) {
+      batch.evaluateLadder(chain, theta, dtheta, 0.37, k_count, target, true,
+                           lo, hi);
+      // Only the limited joint can ever need per-lane trig.  (Ranges
+      // inside the first ladder block are per-lane trig at every joint:
+      // there the ladder's factors are the lanes' own.)
+      for (std::size_t i = 0; i < chain.dof(); ++i) {
+        if (i != kLimitedJoint && hi > kin::kLadderBlock) {
+          EXPECT_FALSE(batch.laneTrigAt(i)) << "joint " << i;
+        }
+      }
+    }
+    if (part.size() == 1) {
+      EXPECT_TRUE(batch.laneTrigAt(kLimitedJoint));
+    }
+    EXPECT_EQ(lanesHash(batch, k_count), kOneLimitedJointHash)
+        << part.size() << " calls";
+  }
+}
+
+// candidateInto recomputes the winning row from the kept theta, dtheta
+// and alpha: after a clamped sweep it is exactly the chain's clamp of
+// theta + alpha_k * dtheta, for every lane, whole or in waves.
+TEST(BatchedForwardKinematics, CandidateIntoIsTheClampedLadderRow) {
+  for (const kin::Chain& chain :
+       {kin::makeKukaIiwa(), withRevoluteLimits(kin::makeSerpentine(30)),
+        withOffsetBase(makeOffsetMixedChain(30))}) {
+    const linalg::VecX theta = patternVec(chain.dof(), 1.5, 0.3);
+    const linalg::VecX dtheta = patternVec(chain.dof(), 3.0, 1.9);
+    for (const std::size_t k_count : {7u, 64u, 100u}) {
+      const auto alphas = alphaLadder(static_cast<int>(k_count), 0.37);
+      for (const auto& part : goldenPartitions(k_count)) {
+        BatchedForward batch;
+        batch.reset(chain, k_count);
+        for (const auto& [lo, hi] : part)
+          batch.evaluateLadder(chain, theta, dtheta, 0.37, k_count,
+                               {0.3, -0.2, 0.5}, true, lo, hi);
+        linalg::VecX cand, expected(chain.dof());
+        for (std::size_t k = 0; k < k_count; ++k) {
+          batch.candidateInto(k, cand);
+          linalg::axpyInto(alphas[k], dtheta, theta, expected);
+          EXPECT_EQ(cand, chain.clampToLimits(expected))
+              << chain.name() << " K=" << k_count << " lane " << k << ", "
+              << part.size() << " calls";
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchedForwardKinematics, ClampedSolverIterationsAllocateNothingOnceWarm) {
+  // SolverIterationsAllocateNothingOnceWarm on a joint-limited chain
+  // with clamping on, so the walk's fix-up lanes run every iteration.
+  const auto chain = withRevoluteLimits(kin::makeSerpentine(50));
+  const auto task = workload::generateTask(chain, 1);
+  const auto solve_allocs = [&](int iterations) {
+    ik::SolveOptions options;
+    options.accuracy = 0.0;  // never converge: run the full budget
+    options.max_iterations = iterations;
+    options.clamp_to_limits = true;
+    ik::QuickIkSolver solver(chain, options);
+    (void)solver.solve(task.target, task.seed);  // warm-up
+    const long long before = allocationCount();
+    (void)solver.solve(task.target, task.seed);
+    return allocationCount() - before;
+  };
+  EXPECT_EQ(solve_allocs(8), solve_allocs(64))
+      << "per-iteration allocations detected in the clamped speculation loop";
 }
 
 }  // namespace
