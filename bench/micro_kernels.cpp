@@ -1,9 +1,10 @@
 // Google-benchmark microbenches of the kernels the whole system is
 // built from: 4x4 matrix multiply (the FKU operation), forward
-// kinematics, Jacobian evaluation, Jacobi SVD, and one full iteration
-// of each solver family.  These ground the platform models: the
-// measured per-kernel host throughput is the reference point for the
-// Atom/TX1 calibration constants discussed in EXPERIMENTS.md.
+// kinematics, Jacobian evaluation, the serial iteration head, Jacobi
+// SVD, and one full iteration of each solver family.  These ground the
+// platform models: the measured per-kernel host throughput is the
+// reference point for the Atom/TX1 calibration constants discussed in
+// EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include "dadu/dadu.hpp"
@@ -38,14 +39,32 @@ void BM_Jacobian(benchmark::State& state) {
   dadu::linalg::VecX q(chain.dof());
   for (std::size_t i = 0; i < q.size(); ++i) q[i] = 0.01 * static_cast<double>(i);
   dadu::linalg::MatX j;
-  std::vector<dadu::linalg::Mat4> frames;
+  dadu::kin::JacobianScratch scratch;
   dadu::linalg::Vec3 ee;
   for (auto _ : state) {
-    dadu::kin::positionJacobian(chain, q, j, frames, ee);
+    dadu::kin::positionJacobian(chain, q, j, scratch, ee);
     benchmark::DoNotOptimize(j.data());
   }
 }
 BENCHMARK(BM_Jacobian)->Arg(12)->Arg(50)->Arg(100);
+
+void BM_IterationHead(benchmark::State& state) {
+  // The serial head of every Jacobian-transpose iteration
+  // (jtIterationHead): J and e through positionJacobian's trig prepass,
+  // compose and columns, then dtheta_base = J^T e and alpha_base (Eq. 8),
+  // arg = DOF.  Its trig runs on the dispatched speculation backend
+  // (DADU_SPEC_BACKEND=scalar|avx2|avx512 forces one).
+  const auto chain =
+      dadu::kin::makeSerpentine(static_cast<std::size_t>(state.range(0)));
+  const auto task = dadu::workload::generateTask(chain, 0);
+  dadu::ik::JtWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dadu::ik::jtIterationHead(chain, task.seed, task.target, ws));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_IterationHead)->Arg(12)->Arg(30)->Arg(100);
 
 void BM_SvdJacobian(benchmark::State& state) {
   const auto chain =

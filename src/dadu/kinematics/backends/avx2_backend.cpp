@@ -91,6 +91,11 @@ class Avx2SpecBackend final : public SpecBackend {
     detail::walkLanesWide<V4, kGroupVectors>(chain, ws, theta, dtheta, target,
                                             clamp_to_limits, lo, hi);
   }
+
+  void sinCos(const double* x, double* s, double* c,
+              std::size_t n) const override {
+    detail::sinCosWide<V4>(x, s, c, n);
+  }
 };
 
 }  // namespace

@@ -107,6 +107,11 @@ class Avx512SpecBackend final : public SpecBackend {
     detail::walkLanesWide<V8, kGroupVectors>(chain, ws, theta, dtheta, target,
                                             clamp_to_limits, lo, hi);
   }
+
+  void sinCos(const double* x, double* s, double* c,
+              std::size_t n) const override {
+    detail::sinCosWide<V8>(x, s, c, n);
+  }
 };
 
 }  // namespace

@@ -5,8 +5,6 @@
 // here too, so it compiles with the kernel flags.
 #include "dadu/kinematics/backends/spec_backend.hpp"
 
-#include <cmath>
-
 #include "dadu/kinematics/backends/walk_ref.hpp"
 #include "dadu/kinematics/backends/walk_wide.hpp"
 
@@ -34,6 +32,11 @@ class ScalarSpecBackend final : public SpecBackend {
     detail::walkLanesWide<detail::ScalarLane, detail::kScalarGroupLanes>(
         chain, ws, theta, dtheta, target, clamp_to_limits, lo, hi);
   }
+
+  void sinCos(const double* x, double* s, double* c,
+              std::size_t n) const override {
+    specSinCos(x, s, c, n);
+  }
 };
 
 }  // namespace
@@ -44,14 +47,7 @@ const SpecBackend& scalarSpecBackend() {
 }
 
 void specSinCos(const double* x, double* s, double* c, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (detail::outsideWalkTrig(x[i])) {
-      s[i] = std::sin(x[i]);
-      c[i] = std::cos(x[i]);
-    } else {
-      detail::sinCosFast(x[i], s[i], c[i]);
-    }
-  }
+  detail::sinCosWide<detail::ScalarLane>(x, s, c, n);
 }
 
 }  // namespace dadu::kin

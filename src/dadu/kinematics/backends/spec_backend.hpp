@@ -15,6 +15,10 @@
 //      applies the chain base, reduces the error, and stores the
 //      position and error once.
 //
+// A backend also runs the serial head's trig (sinCos): the N joint
+// angles of positionJacobian, a vector at a time, with the walk's own
+// sin/cos.
+//
 // Three implementations ship today: the scalar reference walk (one
 // lane per "vector"), an AVX2 kernel (4 f64 lanes per vector) and an
 // AVX-512 kernel (8 lanes).  The seam is deliberately wide enough for a
@@ -124,6 +128,12 @@ class SpecBackend {
                     const linalg::VecX& theta, const linalg::VecX& dtheta,
                     const linalg::Vec3& target, bool clamp_to_limits,
                     std::size_t lo, std::size_t hi) const = 0;
+
+  /// s[i] = sin(x[i]), c[i] = cos(x[i]) for i < n, a whole vector at a
+  /// time: the serial head's trig prepass (positionJacobian).  Equal to
+  /// specSinCos bit for bit.  s and c must not overlap x.
+  virtual void sinCos(const double* x, double* s, double* c,
+                      std::size_t n) const = 0;
 };
 
 /// The scalar reference backend (always available).
@@ -132,8 +142,10 @@ const SpecBackend& scalarSpecBackend();
 /// The speculation walk's sin/cos, as the scalar reference evaluates it:
 /// s[i] = sin(x[i]), c[i] = cos(x[i]).  Built from IEEE mul/add/sub
 /// only (within 2 ULP of libm) for |x| < 1e5; larger and non-finite x
-/// return std::sin/std::cos exactly.  Every backend's walk reproduces
-/// these values bit for bit.  The scalar FK (dh.hpp) keeps libm.
+/// return std::sin/std::cos exactly.  Every backend's walk and its
+/// SpecBackend::sinCos reproduce these values bit for bit; this is the
+/// scalar backend's sinCos.  The scalar FK (forward.hpp, dh.hpp) keeps
+/// libm.
 void specSinCos(const double* x, double* s, double* c, std::size_t n);
 
 /// Internal: per-ISA factories.  Return nullptr when the backend was
@@ -156,13 +168,14 @@ bool specBackendSupported(const SpecBackend& backend);
 /// The process-wide dispatched backend: chosen once — DADU_SPEC_BACKEND
 /// override if set and runnable (else a one-time warning and CPU
 /// dispatch), otherwise the widest CPU-supported backend.  New
-/// BatchedForward instances bind to this at construction.
+/// BatchedForward instances bind to this at construction;
+/// positionJacobian looks it up on every call.
 const SpecBackend& dispatchedSpecBackend();
 
 /// Force the dispatched backend by name (CLI --spec-backend).  Returns
 /// false (and changes nothing) when the name is unknown, compiled out,
 /// or unsupported by this CPU.  Affects BatchedForward instances
-/// constructed afterwards.
+/// constructed afterwards and every later positionJacobian call.
 bool setSpecBackendOverride(std::string_view name);
 
 /// Name of the backend dispatchedSpecBackend() currently returns.

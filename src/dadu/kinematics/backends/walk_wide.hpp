@@ -227,6 +227,33 @@ void libmVector(double t0, typename V::reg q, typename V::reg& c,
   s = V::load(ss);
 }
 
+/// s, c = sin, cos of x[0, n): sinCosFastWide a vector at a time, then
+/// libm for the lanes outside the fast range (non-finite included);
+/// the ragged tail takes the one-lane form.  ScalarLane's instance is
+/// specSinCos, so every backend returns its values.
+template <typename V>
+void sinCosWide(const double* x, double* s, double* c, std::size_t n) {
+  const auto cutoff = V::set1(kWalkTrigCutoff);
+  std::size_t i = 0;
+  for (; i + V::width <= n; i += V::width) {
+    const auto xv = V::load(x + i);
+    typename V::reg sv, cv;
+    sinCosFastWide<V>(xv, sv, cv);
+    V::store(s + i, sv);
+    V::store(c + i, cv);
+    if (V::anyAbsNotBelow(xv, cutoff)) [[unlikely]] {
+      for (std::size_t l = i; l < i + V::width; ++l) {
+        if (outsideWalkTrig(x[l])) {
+          s[l] = std::sin(x[l]);
+          c[l] = std::cos(x[l]);
+        }
+      }
+    }
+  }
+  if constexpr (V::width > 1)
+    sinCosWide<ScalarLane>(x + i, s + i, c + i, n - i);
+}
+
 /// Candidates theta_i + alpha[k] * dtheta_i of the V::width lanes at
 /// `alpha` (mul first, then add), clamped with ordered compares so NaN
 /// lanes keep their value, as the scalar if-chain does.

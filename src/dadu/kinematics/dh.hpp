@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 
 #include "dadu/linalg/mat4.hpp"
 
@@ -37,6 +38,28 @@ inline linalg::Mat4 dhTransform(const DhParam& p, double ct, double st,
   t(2, 0) = 0;  t(2, 1) = sa;       t(2, 2) = ca;       t(2, 3) = d;
   t(3, 0) = 0;  t(3, 1) = 0;        t(3, 2) = 0;        t(3, 3) = 1;
   return t;
+}
+
+/// t := t * {i-1}T_i from the same trig values, composed against the
+/// DH structure: the matrix's exact 0 and 1 entries are never multiplied
+/// (33 mul + 24 add instead of the dense product's 64 + 48), and t's
+/// last row stays [0 0 0 1].  Each entry accumulates left to right like
+/// Mat4::operator*, so the result is bit-identical to t * dhTransform(
+/// ...) up to the sign of zero.  forwardKinematics, linkFrames and
+/// positionJacobian all compose with it; the f32 batch walk's
+/// advanceJointF32 is the same compose.
+inline void composeDh(linalg::Mat4& t, double ct, double st, double ca,
+                      double sa, double a, double d) {
+  const double b01 = -st * ca, b11 = ct * ca;
+  const double b02 = st * sa, b12 = -ct * sa;
+  const double b03 = a * ct, b13 = a * st;
+  for (std::size_t r = 0; r < 3; ++r) {
+    const double o0 = t(r, 0), o1 = t(r, 1), o2 = t(r, 2), o3 = t(r, 3);
+    t(r, 0) = o0 * ct + o1 * st;
+    t(r, 1) = o0 * b01 + o1 * b11 + o2 * sa;
+    t(r, 2) = o0 * b02 + o1 * b12 + o2 * ca;
+    t(r, 3) = o0 * b03 + o1 * b13 + o2 * d + o3;
+  }
 }
 
 /// {i-1}T_i for a revolute joint at angle q (added to the table's fixed

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "dadu/fault/fault.hpp"
+#include "dadu/linalg/svd.hpp"
 
 namespace dadu::ik {
 
@@ -20,7 +21,7 @@ JtIterationHead jtIterationHead(const kin::Chain& chain,
   JtIterationHead head;
 
   linalg::Vec3 ee;
-  kin::positionJacobian(chain, theta, ws.j, ws.frames, ee);
+  kin::positionJacobian(chain, theta, ws.j, ws.scratch, ee);
   head.error_vec = target - ee;
   head.error = head.error_vec.norm();
 
@@ -48,16 +49,12 @@ JtIterationHead jtIterationHead(const kin::Chain& chain,
 }
 
 double stabilityGain(const kin::Chain& chain, double c) {
-  // Lever arm of joint i at full stretch = remaining chain length from
-  // joint i to the tip.
-  double sum_sq = 0.0;
-  double remaining = 0.0;
-  for (std::size_t i = chain.dof(); i-- > 0;) {
-    const kin::DhParam& p = chain.joint(i).dh;
-    remaining += std::abs(p.a) + std::abs(p.d);
-    sum_sq += remaining * remaining;
-  }
-  return sum_sq > 0.0 ? c / sum_sq : c;
+  // lambda_max(J J^T) = sigma_max(J)^2 at the stretched pose.
+  const linalg::MatX j =
+      kin::positionJacobian(chain, chain.zeroConfiguration());
+  const double sigma = linalg::svdJacobi(j).s[0];
+  const double lambda_max = sigma * sigma;
+  return lambda_max > 0.0 ? c / lambda_max : c;
 }
 
 linalg::Vec3 clampTaskStep(const JtIterationHead& head, double max_step) {

@@ -10,7 +10,6 @@
 
 #include <chrono>
 #include <utility>
-#include <vector>
 
 #include "dadu/kinematics/chain.hpp"
 #include "dadu/kinematics/jacobian.hpp"
@@ -22,12 +21,12 @@
 namespace dadu::ik {
 
 /// Reusable per-iteration workspace for transpose-method solvers: the
-/// Jacobian, link-frame scratch and the base update direction.  One
+/// Jacobian, the head's scratch and the base update direction.  One
 /// instance per solver; sized on first use.
 struct JtWorkspace {
-  linalg::MatX j;                       // 3 x N Jacobian
-  std::vector<linalg::Mat4> frames;     // link frames scratch
-  linalg::VecX dtheta_base;             // J^T e
+  linalg::MatX j;                  // 3 x N Jacobian
+  kin::JacobianScratch scratch;    // positionJacobian's trig and z/p rows
+  linalg::VecX dtheta_base;        // J^T e
 };
 
 /// Result of the serial head of a transpose iteration: everything the
@@ -41,7 +40,10 @@ struct JtIterationHead {
 };
 
 /// Evaluate J(theta), e, dtheta_base = J^T e and alpha_base =
-/// (e . JJ^T e) / (JJ^T e . JJ^T e)  (Eq. 8).  Writes into `ws`.
+/// (e . JJ^T e) / (JJ^T e . JJ^T e)  (Eq. 8).  Writes into `ws`.  J and
+/// e come from kin::positionJacobian, whose trig is the speculation
+/// walk's sin/cos (not libm), so e differs from endEffectorPosition's
+/// by a few ULPs.
 JtIterationHead jtIterationHead(const kin::Chain& chain,
                                 const linalg::VecX& theta,
                                 const linalg::Vec3& target, JtWorkspace& ws);
@@ -54,17 +56,17 @@ void validateInputs(const kin::Chain& chain, const linalg::Vec3& target,
 /// Classical stability-safe constant gain for the *original* transpose
 /// method (Wolovich & Elliott [6]): the update theta += alpha J^T e is
 /// a gradient step on ||e||^2/2, stable when alpha < 2 / lambda_max(J
-/// J^T).  lambda_max is bounded by the sum of squared lever arms,
-/// which is largest at the fully stretched configuration, so
+/// J^T).  lambda_max is largest at the fully stretched configuration
+/// (theta = 0 for the DH presets), so
 ///
-///     alpha = c / sum_i (distance from joint i to the tip, stretched)^2
+///     alpha = c / lambda_max(J J^T at theta = 0)
 ///
-/// with a conservative c (default 4, comfortably inside the stability
-/// region across the paper's DOF ladder) is the per-robot constant a
-/// careful classical implementation would pick.  This gain is what
-/// makes the original method need thousands of iterations at high DOF
-/// (paper Fig. 5a) — the gap Quick-IK closes.
-double stabilityGain(const kin::Chain& chain, double c = 4.0);
+/// with c < 2 (default 1.9) is the per-robot constant a careful
+/// classical implementation would pick.  This gain is what makes the
+/// original method need thousands of iterations at high DOF (paper
+/// Fig. 5a) — the gap Quick-IK closes.  A chain whose stretched
+/// Jacobian vanishes gets alpha = c.
+double stabilityGain(const kin::Chain& chain, double c = 1.9);
 
 /// The head's task-space error e, rescaled to length `max_step` when it
 /// is longer (a non-positive `max_step` disables the clamp): the

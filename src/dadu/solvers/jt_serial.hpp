@@ -21,8 +21,8 @@ namespace dadu::ik {
 class JtSerialSolver final : public JtSolver {
  public:
   /// `gain_c` scales the stability-safe constant (see stabilityGain);
-  /// alpha = gain_c / sum of squared stretched lever arms.
-  JtSerialSolver(kin::Chain chain, SolveOptions options, double gain_c = 4.0)
+  /// alpha = gain_c / lambda_max(J J^T) at the stretched pose.
+  JtSerialSolver(kin::Chain chain, SolveOptions options, double gain_c = 1.9)
       : JtSolver(std::move(chain), options),
         alpha_(stabilityGain(chain_, gain_c)) {}
 

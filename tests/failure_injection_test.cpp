@@ -120,6 +120,27 @@ TEST(FailureInjection, SingleJointChainWorks) {
   }
 }
 
+// JT-Serial's fixed gain on the one-joint chain of SingleJointChainWorks,
+// from every seed 0.00, 0.01, ..., 0.99, with that test's budget.  The
+// gain c / lambda_max(JJ^T) with c = 1.9 < 2 is inside the stability
+// bound, so every seed converges, and quickly (at most 30 iterations
+// when measured); the old 4 / sum-of-squared-lever-arms gain (alpha *
+// lambda_max = 4 here) left 27 to 30 of them unconverged.
+TEST(FailureInjection, SingleJointChainJtSerialConvergesFromEverySeed) {
+  const kin::Chain tiny({kin::revolute({0.5, 0, 0, 0})}, "one-joint");
+  SolveOptions options;
+  options.max_iterations = 500;
+  const auto solver = makeSolver("jt-serial", tiny, options);
+  for (int s = 0; s < 100; ++s) {
+    const double seed = 0.01 * s;
+    const auto r = solver->solve({0.0, 0.5, 0.0}, linalg::VecX(1, seed));
+    EXPECT_TRUE(r.converged())
+        << "seed " << seed << " error " << r.error << " after "
+        << r.iterations << " iterations";
+    EXPECT_LE(r.iterations, 50) << "seed " << seed;
+  }
+}
+
 TEST(FailureInjection, TargetEqualsCurrentPoseConvergesInstantly) {
   const auto chain = kin::makeSerpentine(12);
   const linalg::VecX seed(12, 0.25);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "dadu/kinematics/backends/spec_backend.hpp"
 #include "dadu/kinematics/dh.hpp"
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/jacobian.hpp"
@@ -145,9 +146,12 @@ TEST(ForwardKinematics, ScratchReuseGivesSameResult) {
 
 // The dense reference for linkFrames: every link frame as the full 4x4
 // product t * dhTransform(...), the DH matrix's 0 and 1 entries
-// included, with libm trig of the joint angle and the link twist.
+// included, with libm trig of the joint angle and the link twist.  With
+// `walk_trig` the revolute joint angles take specSinCos instead, the
+// trig positionJacobian's head runs.
 std::vector<linalg::Mat4> denseLinkFrames(const Chain& chain,
-                                          const linalg::VecX& q) {
+                                          const linalg::VecX& q,
+                                          bool walk_trig = false) {
   std::vector<linalg::Mat4> frames;
   linalg::Mat4 t = chain.base();
   for (std::size_t i = 0; i < chain.dof(); ++i) {
@@ -156,8 +160,9 @@ std::vector<linalg::Mat4> denseLinkFrames(const Chain& chain,
     const bool revolute = joint.type == JointType::kRevolute;
     const double angle = revolute ? p.theta + q[i] : p.theta;
     const double d = revolute ? p.d : p.d + q[i];
-    t = t * dhTransform(p, std::cos(angle), std::sin(angle),
-                        std::cos(p.alpha), std::sin(p.alpha), d);
+    double c = std::cos(angle), s = std::sin(angle);
+    if (revolute && walk_trig) specSinCos(&angle, &s, &c, 1);
+    t = t * dhTransform(p, c, s, std::cos(p.alpha), std::sin(p.alpha), d);
     frames.push_back(t);
   }
   return frames;
@@ -208,7 +213,9 @@ Chain withOffsetBase(const Chain& chain) {
 // linkFrames, forwardKinematics and positionJacobian compose each link
 // against the DH structure instead of the dense 4x4 product.  That
 // skips only products with exact 0 and 1 entries, so every entry must
-// equal the dense product's under == (+0 and -0 compare equal).
+// equal the dense product's under == (+0 and -0 compare equal).  The
+// Jacobian's reference takes its joint (cos, sin) from specSinCos, as
+// positionJacobian does.
 TEST(ForwardKinematics, StructuredComposeMatchesDenseProduct) {
   std::vector<Chain> chains;
   for (std::size_t dof : {7u, 12u, 25u, 50u, 100u})
@@ -243,7 +250,8 @@ TEST(ForwardKinematics, StructuredComposeMatchesDenseProduct) {
               << c << ")";
 
       const linalg::MatX jac = positionJacobian(chain, q);
-      const linalg::MatX jac_want = denseJacobian(chain, want);
+      const linalg::MatX jac_want =
+          denseJacobian(chain, denseLinkFrames(chain, q, true));
       for (std::size_t r = 0; r < 3; ++r)
         for (std::size_t c = 0; c < chain.dof(); ++c)
           ASSERT_EQ(jac(r, c), jac_want(r, c))

@@ -1,12 +1,20 @@
 // Jacobian tests: analytic vs finite-difference agreement across chain
-// families (the load-bearing correctness property for every solver).
+// families (the load-bearing correctness property for every solver), and
+// golden bits of the serial head (jtIterationHead) on every backend.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <numbers>
+#include <string>
+#include <vector>
 
+#include "dadu/kinematics/backends/spec_backend.hpp"
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/jacobian.hpp"
 #include "dadu/kinematics/presets.hpp"
+#include "dadu/solvers/jt_common.hpp"
 #include "dadu/workload/rng.hpp"
 
 namespace dadu::kin {
@@ -104,9 +112,9 @@ TEST(Jacobian, SharedEvaluationMatchesSeparate) {
   const Chain chain = makeSerpentine(20);
   const linalg::VecX q = randomConfig(chain, 77);
   linalg::MatX j;
-  std::vector<linalg::Mat4> frames;
+  JacobianScratch scratch;
   linalg::Vec3 ee;
-  positionJacobian(chain, q, j, frames, ee);
+  positionJacobian(chain, q, j, scratch, ee);
   EXPECT_LT((ee - endEffectorPosition(chain, q)).norm(), 1e-12);
   EXPECT_LT(maxAbsDiff(j, positionJacobian(chain, q)), 1e-15);
 }
@@ -136,6 +144,120 @@ TEST(Jacobian, LastColumnShrinksTowardTip) {
 TEST(Jacobian, FlopsModelMonotone) {
   EXPECT_GT(jacobianFlops(50), jacobianFlops(10));
   EXPECT_EQ(jacobianFlops(0), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden bits of the serial head.  The head's trig is the speculation
+// walk's sin/cos on the dispatched backend, and every backend returns
+// the same bits, so these hashes hold whatever backend runs
+// (DADU_SPEC_BACKEND=scalar|avx2|avx512).  Recorded when the head moved
+// from libm to the walk's trig; a change that is meant to keep the
+// head's bits must pass unchanged.
+
+/// FNV-1a over 64-bit words.  NaNs hash as one canonical pattern.
+struct BitHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(double x) {
+    std::uint64_t bits = 0x7ff8000000000000ULL;
+    if (!std::isnan(x)) std::memcpy(&bits, &x, sizeof x);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// Every third joint telescopes and every other revolute joint has a DH
+/// angle offset, behind a rotated and translated base.
+Chain makeOffsetMixedChain(std::size_t dof) {
+  std::vector<Joint> joints;
+  for (std::size_t i = 0; i < dof; ++i) {
+    DhParam dh;
+    dh.a = 0.08;
+    dh.alpha = (i % 2 == 0) ? std::numbers::pi / 2 : -std::numbers::pi / 2;
+    if (i % 3 == 2) {
+      dh.theta = 0.2;
+      joints.push_back(prismatic(dh, 0.0, 0.15));
+    } else {
+      if (i % 3 == 1) dh.theta = -0.7;
+      joints.push_back(revolute(dh));
+    }
+  }
+  linalg::Mat4 base =
+      linalg::Mat4::rotationZ(0.7) * linalg::Mat4::rotationY(-0.4);
+  base(0, 3) = 0.3;
+  base(1, 3) = -0.25;
+  base(2, 3) = 0.15;
+  return Chain(std::move(joints), "mixed-offset+base", base);
+}
+
+struct HeadCase {
+  std::string name;
+  Chain chain;
+  linalg::VecX theta;
+  linalg::Vec3 target;
+  std::uint64_t hash;
+};
+
+std::vector<HeadCase> headCases() {
+  std::vector<HeadCase> cases;
+  {
+    Chain chain = makeSerpentine(12);
+    linalg::VecX theta = randomConfig(chain, 5);
+    cases.push_back({"serpentine:12", std::move(chain), std::move(theta),
+                     {0.3, -0.2, 0.4}, 0x2b674888aab68ca2ULL});
+  }
+  {
+    Chain chain = makeSerpentine(100);
+    linalg::VecX theta = randomConfig(chain, 6);
+    cases.push_back({"serpentine:100", std::move(chain), std::move(theta),
+                     {0.5, 0.5, 0.5}, 0x14424919d9367b02ULL});
+  }
+  {
+    Chain chain = makeOffsetMixedChain(30);
+    workload::Rng rng(7);
+    linalg::VecX theta(chain.dof());
+    for (std::size_t i = 0; i < theta.size(); ++i)
+      theta[i] = chain.joint(i).type == JointType::kRevolute
+                     ? rng.angle()
+                     : rng.uniform(chain.joint(i).min, chain.joint(i).max);
+    cases.push_back({"mixed-offset+base:30", std::move(chain),
+                     std::move(theta), {0.2, 0.1, -0.3},
+                     0xf7d1a5f13b988366ULL});
+  }
+  {
+    // Joint angles on both sides of the walk trig's +-1e5 cutoff: lanes
+    // at or beyond it take libm, the rest the fast path.
+    Chain chain = makeSerpentine(12);
+    linalg::VecX theta(chain.dof());
+    for (std::size_t i = 0; i < theta.size(); ++i)
+      theta[i] = (i % 2 == 0 ? 1e5 : -1e5) +
+                 0.37 * (static_cast<double>(i) - 5.5);
+    cases.push_back({"serpentine:12 at 1e5", std::move(chain),
+                     std::move(theta), {0.4, 0.3, 0.2},
+                     0x4d3dd9dfc5541259ULL});
+  }
+  return cases;
+}
+
+TEST(JacobianGoldenBits, HeadMatchesRecordedBits) {
+  for (const HeadCase& c : headCases()) {
+    ik::JtWorkspace ws;
+    const ik::JtIterationHead head =
+        ik::jtIterationHead(c.chain, c.theta, c.target, ws);
+    BitHash hash;
+    for (std::size_t r = 0; r < 3; ++r)
+      for (std::size_t i = 0; i < c.chain.dof(); ++i) hash.add(ws.j(r, i));
+    hash.add(head.error_vec.x);
+    hash.add(head.error_vec.y);
+    hash.add(head.error_vec.z);
+    hash.add(head.error);
+    for (std::size_t i = 0; i < c.chain.dof(); ++i) hash.add(ws.dtheta_base[i]);
+    hash.add(head.alpha_base);
+    EXPECT_EQ(hash.h, c.hash)
+        << c.name << ": got 0x" << std::hex << hash.h << " on backend "
+        << activeSpecBackendName();
+  }
 }
 
 }  // namespace

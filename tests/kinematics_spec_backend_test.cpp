@@ -6,7 +6,8 @@
 // grouped sweeps, and all of it again through Eq. 9's ladder
 // (evaluateLadder) with its fix-up lanes and wave-shaped partitions —
 // the walk-slicing cache seam (both precisions), and solver-level
-// identity at K > the slice budget.
+// identity at K > the slice budget, and the serial head's trig
+// (SpecBackend::sinCos) against specSinCos.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -579,6 +580,54 @@ TEST(SpecBackendSlicing, SolveManyAtK512MatchesPerLaneSolves) {
     EXPECT_EQ(out[i].result.iterations, ref.iterations);
     EXPECT_EQ(out[i].result.error, ref.error);
     EXPECT_EQ(out[i].result.theta, ref.theta) << "bit-identical required";
+  }
+}
+
+// SpecBackend::sinCos, the serial head's trig, returns specSinCos's
+// bits on every backend: whole vectors, ragged tails (n = 0, 1, 7, 8, 9
+// and 100 cover every backend's widths), angles on both sides of the
+// +-1e5 libm cutoff, and NaN/+-Inf lanes in vector bodies and tails.
+// Nothing past n is written.
+TEST(SpecBackendParity, SinCosMatchesSpecSinCosBitForBit) {
+  const double hostile[] = {1e5,
+                            -1e5,
+                            std::nextafter(1e5, 0.0),
+                            std::nextafter(-1e5, 0.0),
+                            std::nextafter(1e5, 2e5),
+                            -2.5e7,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            kInf,
+                            -kInf,
+                            -0.0};
+  constexpr double kCanary = -7.25;
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 100u}) {
+    for (std::size_t shift = 0; shift < std::size(hostile); ++shift) {
+      // Every lane whose index is 3 mod 4 is hostile, cycling through
+      // the list from `shift`, so each value meets each lane position.
+      std::vector<double> x(n);
+      for (std::size_t i = 0; i < n; ++i)
+        x[i] = i % 4 == 3
+                   ? hostile[(shift + i / 4) % std::size(hostile)]
+                   : 9.0 * std::sin(1.3 * static_cast<double>(i + shift));
+      std::vector<double> s_ref(n), c_ref(n);
+      kin::specSinCos(x.data(), s_ref.data(), c_ref.data(), n);
+      for (const SpecBackend* backend : runnableBackends()) {
+        std::vector<double> s(n + 8, kCanary), c(n + 8, kCanary);
+        backend->sinCos(x.data(), s.data(), c.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(bitsOf(s[i]), bitsOf(s_ref[i]))
+              << backend->name() << " n " << n << " sin lane " << i
+              << " x = " << x[i];
+          ASSERT_EQ(bitsOf(c[i]), bitsOf(c_ref[i]))
+              << backend->name() << " n " << n << " cos lane " << i
+              << " x = " << x[i];
+        }
+        for (std::size_t i = n; i < n + 8; ++i) {
+          ASSERT_EQ(s[i], kCanary) << backend->name() << " wrote sin " << i;
+          ASSERT_EQ(c[i], kCanary) << backend->name() << " wrote cos " << i;
+        }
+      }
+    }
   }
 }
 

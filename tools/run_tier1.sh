@@ -52,7 +52,10 @@ ctest --test-dir "${build_dir}" --output-on-failure -j
 # hardest on the speculation path (IKAcc's functional model included),
 # proving solver results do not depend on the host ISA.  The adaptive
 # solver reshapes the f64 walk's lane count every iteration, so its
-# suite rides along too.
+# suite rides along too.  The serial head (positionJacobian) takes its
+# trig from the dispatched backend, so every Jacobian-transpose solver
+# depends on it: the head's golden bits, the compose-vs-dense checks and
+# the JT-family solver suites run in the forced legs as well.
 "${build_dir}/tests/kinematics_spec_backend_test"
 forced_backends="scalar"
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
@@ -61,7 +64,9 @@ fi
 for backend in ${forced_backends}; do
   for suite in kinematics_spec_backend_test kinematics_batch_fk_test \
       kinematics_walk_trig_test solvers_quick_ik_test service_batch_test \
-      ikacc_accelerator_test solvers_adaptive_test; do
+      ikacc_accelerator_test solvers_adaptive_test failure_injection_test \
+      solvers_basic_test solvers_convergence_test kinematics_jacobian_test \
+      kinematics_fk_test; do
     DADU_SPEC_BACKEND="${backend}" "${build_dir}/tests/${suite}"
   done
 done
