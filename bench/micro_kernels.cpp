@@ -7,7 +7,11 @@
 // EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "dadu/dadu.hpp"
+#include "dadu/kinematics/backends/spec_backend.hpp"
 
 namespace {
 
@@ -208,6 +212,28 @@ void BM_SpeculationPrepass(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(1));
 }
 BENCHMARK(BM_SpeculationPrepass)->Args({100, 16})->Args({100, 64});
+
+void BM_SpecSinCos(benchmark::State& state) {
+  // The walk's sin/cos alone, through the dispatched backend's
+  // SpecBackend::sinCos (DADU_SPEC_BACKEND=scalar|avx2|avx512 forces
+  // one), arg = angle count: 100 is the serial head's at 100 DOF, 1600
+  // the trig prepass's at 100 DOF and K = 64 (8 base and 8 block
+  // factors per joint).  Angles span a few turns, as joint angles do.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> x(n), s(n), c(n);
+  for (std::size_t i = 0; i < n; ++i)
+    x[i] = 3.0 * std::sin(0.7 * static_cast<double>(i) + 0.3);
+  const dadu::kin::SpecBackend& backend = dadu::kin::dispatchedSpecBackend();
+  for (auto _ : state) {
+    backend.sinCos(x.data(), s.data(), c.data(), n);
+    benchmark::DoNotOptimize(s.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetLabel(backend.name());
+}
+BENCHMARK(BM_SpecSinCos)->Arg(100)->Arg(1600);
 
 void BM_QuickIkIteration(benchmark::State& state) {
   // One Quick-IK iteration = head + 64 speculative FK passes; measured

@@ -31,6 +31,9 @@ struct V4 {
   static reg add(reg a, reg b) { return _mm256_add_pd(a, b); }
   static reg sub(reg a, reg b) { return _mm256_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm256_mul_pd(a, b); }
+  /// a * b + c and c - a * b, each rounded once.
+  static reg fma(reg a, reg b, reg c) { return _mm256_fmadd_pd(a, b, c); }
+  static reg fnma(reg a, reg b, reg c) { return _mm256_fnmadd_pd(a, b, c); }
   static reg sqrt(reg a) { return _mm256_sqrt_pd(a); }
   /// q < lim ? lim : q — ordered compare, so NaN lanes keep q exactly
   /// like the scalar if-chain.

@@ -27,6 +27,9 @@ struct V8 {
   static reg add(reg a, reg b) { return _mm512_add_pd(a, b); }
   static reg sub(reg a, reg b) { return _mm512_sub_pd(a, b); }
   static reg mul(reg a, reg b) { return _mm512_mul_pd(a, b); }
+  /// a * b + c and c - a * b, each rounded once.
+  static reg fma(reg a, reg b, reg c) { return _mm512_fmadd_pd(a, b, c); }
+  static reg fnma(reg a, reg b, reg c) { return _mm512_fnmadd_pd(a, b, c); }
   // sqrt and the shift use their all-lanes zero-masked forms: the plain
   // intrinsics pass GCC's _mm512_undefined_*() as the unused source,
   // which GCC 12 reports as -Wmaybe-uninitialized.  Same results.

@@ -18,8 +18,10 @@ namespace {
 
 bool cpuSupports(const char* backend_name) {
 #if defined(__x86_64__) || defined(__i386__)
+  // The AVX2 backend's fused ops are FMA3 instructions, a separate
+  // CPUID bit; AVX-512F includes them.
   if (std::strcmp(backend_name, "avx2") == 0)
-    return __builtin_cpu_supports("avx2");
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   if (std::strcmp(backend_name, "avx512") == 0)
     return __builtin_cpu_supports("avx512f");
 #else

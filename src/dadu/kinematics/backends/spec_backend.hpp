@@ -28,10 +28,14 @@
 //
 // Parity contract: a backend's results must match the scalar reference
 // bit for bit.  The wide kernels replicate the scalar operation order
-// exactly — the walk's own mul/add-only sin/cos (specSinCos below;
-// libm only for out-of-range lanes), the ladder's fixed block width
-// kLadderBlock, mul/add without FMA contraction, IEEE vector sqrt — and
-// the parity suite compares every tested DOF x K point bit for bit.
+// exactly — the walk's own sin/cos (specSinCos below; libm only for
+// out-of-range lanes), the ladder's fixed block width kLadderBlock,
+// fused multiply-adds exactly where the walk writes V::fma / V::fnma
+// (one rounding each: FMA3 / AVX-512 instructions, std::fma in the
+// scalar reference) and separate multiplies and adds everywhere else,
+// IEEE vector sqrt — and the parity suite compares every tested DOF x K
+// point bit for bit.  The AVX2 backend therefore needs FMA3 too:
+// dispatch checks both CPUID bits.
 //
 // Dispatch: dispatchedSpecBackend() picks the widest backend the CPU
 // supports (CPUID, checked once), overridable with the
@@ -141,11 +145,11 @@ const SpecBackend& scalarSpecBackend();
 
 /// The speculation walk's sin/cos, as the scalar reference evaluates it:
 /// s[i] = sin(x[i]), c[i] = cos(x[i]).  Built from IEEE mul/add/sub
-/// only (within 2 ULP of libm) for |x| < 1e5; larger and non-finite x
-/// return std::sin/std::cos exactly.  Every backend's walk and its
-/// SpecBackend::sinCos reproduce these values bit for bit; this is the
-/// scalar backend's sinCos.  The scalar FK (forward.hpp, dh.hpp) keeps
-/// libm.
+/// and fused multiply-adds (within 2 ULP of libm) for |x| < 1e5; larger
+/// and non-finite x return std::sin/std::cos exactly.  Every backend's
+/// walk and its SpecBackend::sinCos reproduce these values bit for bit;
+/// this is the scalar backend's sinCos.  The scalar FK (forward.hpp,
+/// dh.hpp) keeps libm.
 void specSinCos(const double* x, double* s, double* c, std::size_t n);
 
 /// Internal: per-ISA factories.  Return nullptr when the backend was

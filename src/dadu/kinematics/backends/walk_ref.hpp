@@ -3,9 +3,14 @@
 // backend and for every backend's ragged lanes, the candidate clamp, and
 // the f32 datapath's walk.
 //
-// Strict IEEE arithmetic in program order (no reassociation, no FMA —
-// translation units including this header compile with
-// -ffp-contract=off), so results are identical whatever ISA a backend
+// Strict IEEE arithmetic in program order, with the fused
+// multiply-adds written out: V::fma(a, b, c) = a * b + c and
+// V::fnma(a, b, c) = c - a * b, each rounded once, at the sites the
+// walk names (the sin/cos below, Eq. 9's rotation and the point step in
+// walk_wide.hpp).  Nothing else fuses: translation units including this
+// header compile with -ffp-contract=off, so the compiler contracts no
+// mul+add on its own.  ScalarLane's fused ops are std::fma, correctly
+// rounded everywhere, so results are identical whatever ISA a backend
 // compiles them for.  The f64 walk itself is walk_wide.hpp, one
 // template over a vector type V: the scalar backend instantiates it
 // with ScalarLane below, the AVX2 and AVX-512 backends with their
@@ -43,8 +48,10 @@ namespace {
 // error below 1e-19 on [-pi/4, pi/4]), then the quadrant k mod 4 swaps
 // and negates them.  k is rounded with the 1.5 * 2^52 shifter, so its
 // low bits sit in the shifted value's mantissa and the quadrant needs
-// no float-to-int conversion.  Measured against glibc: at most 2 ULP
-// for |x| < kWalkTrigCutoff.  Angles that are non-finite or at least
+// no float-to-int conversion.  The shifter, the three reduction terms,
+// every Horner step and the last step of each series are fused
+// multiply-adds.  Measured against glibc: at most 2 ULP for
+// |x| < kWalkTrigCutoff.  Angles that are non-finite or at least
 // kWalkTrigCutoff in magnitude take std::sin/std::cos instead.
 inline constexpr double kWalkTrigCutoff = 1e5;
 inline constexpr double kTwoOverPi = 0x1.45f306dc9c883p-1;
@@ -88,6 +95,10 @@ struct ScalarLane {
   static reg add(reg a, reg b) { return a + b; }
   static reg sub(reg a, reg b) { return a - b; }
   static reg mul(reg a, reg b) { return a * b; }
+  /// a * b + c, rounded once.
+  static reg fma(reg a, reg b, reg c) { return std::fma(a, b, c); }
+  /// c - a * b, rounded once (negating a is exact).
+  static reg fnma(reg a, reg b, reg c) { return std::fma(-a, b, c); }
   static reg sqrt(reg a) { return std::sqrt(a); }
   /// q < lim ? lim : q (NaN keeps q).
   static reg clampBelow(reg q, reg lim) { return q < lim ? lim : q; }
@@ -133,13 +144,13 @@ template <typename V>
   const auto shifter = V::set1(kRoundShifter);
   const auto sign = V::set1(-0.0);
   const auto horner = [](typename V::reg p, typename V::reg r2, double k) {
-    return V::add(V::mul(p, r2), V::set1(k));
+    return V::fma(p, r2, V::set1(k));
   };
-  const auto shifted = V::add(V::mul(x, V::set1(kTwoOverPi)), shifter);
+  const auto shifted = V::fma(x, V::set1(kTwoOverPi), shifter);
   const auto kq = V::sub(shifted, shifter);
-  const auto r = V::sub(V::sub(V::sub(x, V::mul(kq, V::set1(kPio2Hi))),
-                               V::mul(kq, V::set1(kPio2Mid))),
-                        V::mul(kq, V::set1(kPio2Lo)));
+  const auto r = V::fnma(kq, V::set1(kPio2Lo),
+                         V::fnma(kq, V::set1(kPio2Mid),
+                                 V::fnma(kq, V::set1(kPio2Hi), x)));
   // sin r is evaluated on |r| and given r's sign back, which is exact
   // (the polynomial is odd) and keeps sin(-0) = -0.
   const auto r_sign = V::andBits(r, sign);
@@ -153,7 +164,7 @@ template <typename V>
   ps = horner(ps, r2, kSin7);
   ps = horner(ps, r2, kSin5);
   ps = horner(ps, r2, kSin3);
-  const auto sr = V::xorBits(V::add(ra, V::mul(V::mul(ra, r2), ps)), r_sign);
+  const auto sr = V::xorBits(V::fma(V::mul(ra, r2), ps, ra), r_sign);
   auto pc = V::set1(kCos18);
   pc = horner(pc, r2, kCos16);
   pc = horner(pc, r2, kCos14);
@@ -163,7 +174,7 @@ template <typename V>
   pc = horner(pc, r2, kCos6);
   pc = horner(pc, r2, kCos4);
   pc = horner(pc, r2, kCos2);
-  const auto cr = V::add(V::set1(1.0), V::mul(r2, pc));
+  const auto cr = V::fma(r2, pc, V::set1(1.0));
   // Quadrant k mod 4 = low two bits of `shifted`: odd k swaps sin and
   // cos; bit 1 of k negates sin, bit 1 of k + 1 negates cos.
   const auto swap = V::shiftLeftBits(shifted, 63);  // bit 0 -> sign

@@ -1,17 +1,19 @@
 // The f64 speculation walk, one template over a vector type V.
 //
 // The backend translation unit defines a vector wrapper V (width,
-// load/store, broadcast, mul/add/sub, IEEE sqrt, ordered-compare
-// blends, raw 64-bit bit ops) with its own -m flags and instantiates
-// walkLanesWide<V, G> — G lane vectors per walking group, a
-// compile-time constant per backend.  The scalar backend's V is
+// load/store, broadcast, mul/add/sub, fused fma/fnma, IEEE sqrt,
+// ordered-compare blends, raw 64-bit bit ops) with its own -m flags and
+// instantiates walkLanesWide<V, G> — G lane vectors per walking group,
+// a compile-time constant per backend.  The scalar backend's V is
 // ScalarLane (walk_ref.hpp), one lane per "vector"; ragged lanes of the
 // wide backends take the same one-lane walk.  Every lane performs the
 // same IEEE doubles in the same order whatever V is, so the backends
 // are bit-identical, as the parity contract in spec_backend.hpp
-// requires.  Multiplies and adds stay separate (no FMA contraction; the
-// TU compiles with -ffp-contract=off as a belt-and-braces), and vector
-// sqrt is correctly rounded.
+// requires.  The multiply-adds of the sin/cos (walk_ref.hpp), Eq. 9's
+// rotation and the point step are V::fma / V::fnma, each rounded once
+// on every backend; every other multiply and add stays separate (the
+// TU compiles with -ffp-contract=off, so the compiler fuses nothing on
+// its own), and vector sqrt is correctly rounded.
 //
 // The walk computes only what Quick-IK scores: the end-effector
 // position of each candidate theta + alpha_k * dtheta.  It applies
@@ -26,8 +28,8 @@
 //   2. walkGroup: a group of G lane vectors carries x, y, z from the
 //      tip to the base in registers.  At each joint it forms the lanes'
 //      (cos, sin) — the ladder's rotation from the tables, or per-lane
-//      trig — and takes one DH-structured point step (8 mul + 6 add per
-//      lane); then it applies the chain base B,
+//      trig — and takes one DH-structured point step (3 mul, 1 add and
+//      6 fused multiply-adds per lane); then it applies the chain base B,
 //      reduces the error, and stores position and error once.  No
 //      candidate matrix and no per-lane cos/sin rows exist: a lane's
 //      candidate is formed in registers at the joints that need it.
@@ -46,7 +48,8 @@
 //
 // with base factors (c_m, s_m) = sinCosFast(t0 + q_m) of the unclamped
 // candidate and block factors (C_j, S_j) = sinCosFast(g_j): B + K / B
-// trig evaluations per joint instead of K.  Block 0 takes its base
+// trig evaluations per joint instead of K, and per lane one multiply
+// and one fused multiply-add for each of cos and sin.  Block 0 takes its base
 // factors as they are, so K <= B is per-lane trig exactly, and a lane
 // range inside block 0 takes the kLanes form, with no tables.  Both
 // factors depend on the lane's absolute index only, never on the lane
@@ -322,8 +325,8 @@ void walkGroup(const Chain& chain, const SpecLaneBlock& ws,
         if (j != 0) {
           const auto cj = V::set1(fc[kLadderBlock + j]);
           const auto sj = V::set1(fs[kLadderBlock + j]);
-          const auto cos_k = V::sub(V::mul(c[g], cj), V::mul(s[g], sj));
-          s[g] = V::add(V::mul(s[g], cj), V::mul(c[g], sj));
+          const auto cos_k = V::fnma(s[g], sj, V::mul(c[g], cj));
+          s[g] = V::fma(c[g], sj, V::mul(s[g], cj));
           c[g] = cos_k;
         }
         dl[g] = V::set1(joint.dh.d);
@@ -362,11 +365,10 @@ void walkGroup(const Chain& chain, const SpecLaneBlock& ws,
     const auto a_len = V::set1(joint.dh.a);
     forEachVector<G>([&](std::size_t g) {
       const auto wx = V::add(vx[g], a_len);
-      const auto wy = V::sub(V::mul(ca, vy[g]), V::mul(sa, vz[g]));
-      const auto wz =
-          V::add(V::add(V::mul(sa, vy[g]), V::mul(ca, vz[g])), dl[g]);
-      vx[g] = V::sub(V::mul(c[g], wx), V::mul(s[g], wy));
-      vy[g] = V::add(V::mul(s[g], wx), V::mul(c[g], wy));
+      const auto wy = V::fnma(sa, vz[g], V::mul(ca, vy[g]));
+      const auto wz = V::fma(sa, vy[g], V::fma(ca, vz[g], dl[g]));
+      vx[g] = V::fnma(s[g], wy, V::mul(c[g], wx));
+      vy[g] = V::fma(c[g], wy, V::mul(s[g], wx));
       vz[g] = wz;
     });
   }

@@ -300,7 +300,9 @@ linalg::Vec3 runawayTarget(const kin::Chain& chain) {
 
 ik::SolveOptions runawayOptions() {
   ik::SolveOptions options;
-  options.accuracy = 0.0;  // unsatisfiable by construction
+  // No error is below 0, so no solve converges; a solve that lands on
+  // its target exactly can still end kStalled (pinv-svd does).
+  options.accuracy = 0.0;
   options.max_iterations = 50'000'000;
   return options;
 }
@@ -367,7 +369,14 @@ TEST(SolverWatchdogTest, SetDeadlineOverridesOptionsAndClears) {
   ik::SolveOptions options;
   options.accuracy = 0.0;
   options.max_iterations = 100;
-  const auto target = runawayTarget(chain);
+  // Outside the chain's reach (|target| = 0.825, reach 8 x 0.1), so no
+  // solve can converge or land on the target exactly (pinv-svd stalls
+  // on an exactly reached target).  The descent-guarded Quick-IK
+  // solvers stop kStalled once no candidate improves, which happens at
+  // their closest point; this target sits just outside the reach, where
+  // they approach it slowly (measured: iteration 700 at the earliest),
+  // so the 100-iteration budget decides.
+  const linalg::Vec3 target{-0.72, -0.36, -0.18};
 
   // Every factory solver (the Jacobian-transpose family and CCD) and
   // IKAcc's model.

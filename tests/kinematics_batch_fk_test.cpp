@@ -341,10 +341,11 @@ TEST(BatchedForwardKinematics, SolverIterationsAllocateNothingOnceWarm) {
 
 // ---------------------------------------------------------------------------
 // Golden bits.  The parity suites compare backends with each other; these
-// hashes pin the f64 walk to fixed bits.  They were recorded from the
-// joint-major walk (one pass over all lanes per joint, a dof x K candidate
-// matrix and per-lane cos/sin scratch rows) and must not change when the
-// walk's structure changes: every lane performs the same IEEE operations.
+// hashes pin the f64 walk to fixed bits.  They were recorded when the
+// walk's sin/cos, Eq. 9's rotation and the point step took fused
+// multiply-adds, with each of the scalar, AVX2 and AVX-512 backends
+// forced (all three agreed), and must not change when the walk's
+// structure changes: every lane performs the same IEEE operations.
 
 /// FNV-1a over 64-bit words.  NaNs hash as one canonical pattern (their
 /// payloads are not part of the walk's contract).
@@ -428,66 +429,66 @@ struct GoldenCase {
 // angles across the walk's 1e5 trig cutoff; "nan" gives another
 // mid-chain joint a NaN dtheta.
 const GoldenCase kGoldenCases[] = {
-    {"kuka-iiwa14/ladder/far/clamp", 0xac5f7af9eea68f54ULL},
-    {"kuka-iiwa14/ladder/far/free", 0x917b7f72c08cca40ULL},
+    {"kuka-iiwa14/ladder/far/clamp", 0xafadc30723497425ULL},
+    {"kuka-iiwa14/ladder/far/free", 0x1bd8a534a7001623ULL},
     {"kuka-iiwa14/ladder/nan/clamp", 0x7cb2ed65245a1010ULL},
     {"kuka-iiwa14/ladder/nan/free", 0x7cb2ed65245a1010ULL},
-    {"kuka-iiwa14/ladder/plain/clamp", 0xcf75591e679b724aULL},
-    {"kuka-iiwa14/ladder/plain/free", 0xcf75591e679b724aULL},
-    {"kuka-iiwa14/lanes/far/clamp", 0xdef03181ef3516e0ULL},
-    {"kuka-iiwa14/lanes/far/free", 0xefb39de282732fcfULL},
+    {"kuka-iiwa14/ladder/plain/clamp", 0x331cd5a69123579fULL},
+    {"kuka-iiwa14/ladder/plain/free", 0x331cd5a69123579fULL},
+    {"kuka-iiwa14/lanes/far/clamp", 0x9f0bbf1eb9d79f6fULL},
+    {"kuka-iiwa14/lanes/far/free", 0xa133cc3266aae41dULL},
     {"kuka-iiwa14/lanes/nan/clamp", 0x7cb2ed65245a1010ULL},
     {"kuka-iiwa14/lanes/nan/free", 0x7cb2ed65245a1010ULL},
-    {"kuka-iiwa14/lanes/plain/clamp", 0xe023781ae07a73ffULL},
-    {"kuka-iiwa14/lanes/plain/free", 0xe023781ae07a73ffULL},
-    {"mixed-offset+base/ladder/far/clamp", 0x7c9d15e868a8c78cULL},
-    {"mixed-offset+base/ladder/far/free", 0x5a26be31a366ce6bULL},
+    {"kuka-iiwa14/lanes/plain/clamp", 0x9f55713a3d651d53ULL},
+    {"kuka-iiwa14/lanes/plain/free", 0x9f55713a3d651d53ULL},
+    {"mixed-offset+base/ladder/far/clamp", 0x361a7c5688ea3a9bULL},
+    {"mixed-offset+base/ladder/far/free", 0xc8fcddb44e99cd1cULL},
     {"mixed-offset+base/ladder/nan/clamp", 0x72370226cd9fbb3dULL},
     {"mixed-offset+base/ladder/nan/free", 0x1e467cb241023e51ULL},
-    {"mixed-offset+base/ladder/plain/clamp", 0x32d4fef5afa4b64cULL},
-    {"mixed-offset+base/ladder/plain/free", 0x25aef51218ed0262ULL},
-    {"mixed-offset+base/lanes/far/clamp", 0xff910f81db8c7e77ULL},
-    {"mixed-offset+base/lanes/far/free", 0x3716e24cb08522f6ULL},
+    {"mixed-offset+base/ladder/plain/clamp", 0xcc1291ad8f1a9358ULL},
+    {"mixed-offset+base/ladder/plain/free", 0xc4a01f1d8cb49948ULL},
+    {"mixed-offset+base/lanes/far/clamp", 0x519e5a70fbe08c41ULL},
+    {"mixed-offset+base/lanes/far/free", 0xcc5620167ba054d3ULL},
     {"mixed-offset+base/lanes/nan/clamp", 0x72370226cd9fbb3dULL},
     {"mixed-offset+base/lanes/nan/free", 0x1e467cb241023e51ULL},
-    {"mixed-offset+base/lanes/plain/clamp", 0xcb1d5a3c5a91c442ULL},
-    {"mixed-offset+base/lanes/plain/free", 0xb4b6ee3b65effd3aULL},
-    {"serpentine-100dof+limits/ladder/far/clamp", 0xd0d8983a71a90634ULL},
-    {"serpentine-100dof+limits/ladder/far/free", 0xbe7af56b6a349c20ULL},
+    {"mixed-offset+base/lanes/plain/clamp", 0x167007200ee88723ULL},
+    {"mixed-offset+base/lanes/plain/free", 0x8bfd52ba685ce0edULL},
+    {"serpentine-100dof+limits/ladder/far/clamp", 0x7a5fb9f0a84091e1ULL},
+    {"serpentine-100dof+limits/ladder/far/free", 0x837fea72b98305e3ULL},
     {"serpentine-100dof+limits/ladder/nan/clamp", 0x8a0cc59c0d93b30cULL},
     {"serpentine-100dof+limits/ladder/nan/free", 0x78905249b3a2ddffULL},
-    {"serpentine-100dof+limits/ladder/plain/clamp", 0xb2d2d33bb079681bULL},
-    {"serpentine-100dof+limits/ladder/plain/free", 0xa14feebc39a4d7ebULL},
-    {"serpentine-100dof+limits/lanes/far/clamp", 0x249dc868514e5d99ULL},
-    {"serpentine-100dof+limits/lanes/far/free", 0x6defc9e7c94eec9cULL},
+    {"serpentine-100dof+limits/ladder/plain/clamp", 0x78641f8e6d919b3cULL},
+    {"serpentine-100dof+limits/ladder/plain/free", 0xab3bfaa3a1c7f0ULL},
+    {"serpentine-100dof+limits/lanes/far/clamp", 0xa73d76a918ef3fddULL},
+    {"serpentine-100dof+limits/lanes/far/free", 0x2a7d0f6a7cd42a0cULL},
     {"serpentine-100dof+limits/lanes/nan/clamp", 0x8a0cc59c0d93b30cULL},
     {"serpentine-100dof+limits/lanes/nan/free", 0x78905249b3a2ddffULL},
-    {"serpentine-100dof+limits/lanes/plain/clamp", 0x6cf747821317dbd3ULL},
-    {"serpentine-100dof+limits/lanes/plain/free", 0x5f35da321c471ef4ULL},
-    {"serpentine-100dof/ladder/far/clamp", 0xbe7af56b6a349c20ULL},
-    {"serpentine-100dof/ladder/far/free", 0xbe7af56b6a349c20ULL},
+    {"serpentine-100dof+limits/lanes/plain/clamp", 0x42e05c270562ec4aULL},
+    {"serpentine-100dof+limits/lanes/plain/free", 0x859d67f51bb0b0c9ULL},
+    {"serpentine-100dof/ladder/far/clamp", 0x837fea72b98305e3ULL},
+    {"serpentine-100dof/ladder/far/free", 0x837fea72b98305e3ULL},
     {"serpentine-100dof/ladder/nan/clamp", 0x78905249b3a2ddffULL},
     {"serpentine-100dof/ladder/nan/free", 0x78905249b3a2ddffULL},
-    {"serpentine-100dof/ladder/plain/clamp", 0xa14feebc39a4d7ebULL},
-    {"serpentine-100dof/ladder/plain/free", 0xa14feebc39a4d7ebULL},
-    {"serpentine-100dof/lanes/far/clamp", 0x6defc9e7c94eec9cULL},
-    {"serpentine-100dof/lanes/far/free", 0x6defc9e7c94eec9cULL},
+    {"serpentine-100dof/ladder/plain/clamp", 0xab3bfaa3a1c7f0ULL},
+    {"serpentine-100dof/ladder/plain/free", 0xab3bfaa3a1c7f0ULL},
+    {"serpentine-100dof/lanes/far/clamp", 0x2a7d0f6a7cd42a0cULL},
+    {"serpentine-100dof/lanes/far/free", 0x2a7d0f6a7cd42a0cULL},
     {"serpentine-100dof/lanes/nan/clamp", 0x78905249b3a2ddffULL},
     {"serpentine-100dof/lanes/nan/free", 0x78905249b3a2ddffULL},
-    {"serpentine-100dof/lanes/plain/clamp", 0x5f35da321c471ef4ULL},
-    {"serpentine-100dof/lanes/plain/free", 0x5f35da321c471ef4ULL},
-    {"serpentine-12dof/ladder/far/clamp", 0xb709dfb5208d432ULL},
-    {"serpentine-12dof/ladder/far/free", 0xb709dfb5208d432ULL},
+    {"serpentine-100dof/lanes/plain/clamp", 0x859d67f51bb0b0c9ULL},
+    {"serpentine-100dof/lanes/plain/free", 0x859d67f51bb0b0c9ULL},
+    {"serpentine-12dof/ladder/far/clamp", 0x5ff4c96403da386fULL},
+    {"serpentine-12dof/ladder/far/free", 0x5ff4c96403da386fULL},
     {"serpentine-12dof/ladder/nan/clamp", 0x792abefbc689882aULL},
     {"serpentine-12dof/ladder/nan/free", 0x792abefbc689882aULL},
-    {"serpentine-12dof/ladder/plain/clamp", 0xfabc147dac3a17bcULL},
-    {"serpentine-12dof/ladder/plain/free", 0xfabc147dac3a17bcULL},
-    {"serpentine-12dof/lanes/far/clamp", 0x3e5da84bfe60620bULL},
-    {"serpentine-12dof/lanes/far/free", 0x3e5da84bfe60620bULL},
+    {"serpentine-12dof/ladder/plain/clamp", 0x49d741a12c87f30aULL},
+    {"serpentine-12dof/ladder/plain/free", 0x49d741a12c87f30aULL},
+    {"serpentine-12dof/lanes/far/clamp", 0x36c19bdfccef25bfULL},
+    {"serpentine-12dof/lanes/far/free", 0x36c19bdfccef25bfULL},
     {"serpentine-12dof/lanes/nan/clamp", 0x792abefbc689882aULL},
     {"serpentine-12dof/lanes/nan/free", 0x792abefbc689882aULL},
-    {"serpentine-12dof/lanes/plain/clamp", 0x8235f6577575d451ULL},
-    {"serpentine-12dof/lanes/plain/free", 0x8235f6577575d451ULL},
+    {"serpentine-12dof/lanes/plain/clamp", 0x75340ac3abac0bf2ULL},
+    {"serpentine-12dof/lanes/plain/free", 0x75340ac3abac0bf2ULL},
 };
 
 TEST(BatchedForwardGoldenBits, WalkMatchesRecordedBits) {
@@ -559,7 +560,7 @@ kin::Chain oneLimitedJointChain() {
 
 // Recorded like kGoldenCases: oneLimitedJointChain's clamped ladder
 // sweep at K = 64, whole and in IKAcc-style waves.
-constexpr std::uint64_t kOneLimitedJointHash = 0x25984dfbf9dfb94ULL;
+constexpr std::uint64_t kOneLimitedJointHash = 0xbe84be197d224ffdULL;
 
 TEST(BatchedForwardGoldenBits, OnlyTheClampedJointTakesLaneTrig) {
   const kin::Chain chain = oneLimitedJointChain();

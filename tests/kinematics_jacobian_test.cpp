@@ -150,9 +150,10 @@ TEST(Jacobian, FlopsModelMonotone) {
 // Golden bits of the serial head.  The head's trig is the speculation
 // walk's sin/cos on the dispatched backend, and every backend returns
 // the same bits, so these hashes hold whatever backend runs
-// (DADU_SPEC_BACKEND=scalar|avx2|avx512).  Recorded when the head moved
-// from libm to the walk's trig; a change that is meant to keep the
-// head's bits must pass unchanged.
+// (DADU_SPEC_BACKEND=scalar|avx2|avx512).  Recorded when the walk's
+// sin/cos took fused multiply-adds, with each of the three backends
+// forced (all three agreed); a change that is meant to keep the head's
+// bits must pass unchanged.
 
 /// FNV-1a over 64-bit words.  NaNs hash as one canonical pattern.
 struct BitHash {
@@ -205,13 +206,13 @@ std::vector<HeadCase> headCases() {
     Chain chain = makeSerpentine(12);
     linalg::VecX theta = randomConfig(chain, 5);
     cases.push_back({"serpentine:12", std::move(chain), std::move(theta),
-                     {0.3, -0.2, 0.4}, 0x2b674888aab68ca2ULL});
+                     {0.3, -0.2, 0.4}, 0x424b6c3ce557c008ULL});
   }
   {
     Chain chain = makeSerpentine(100);
     linalg::VecX theta = randomConfig(chain, 6);
     cases.push_back({"serpentine:100", std::move(chain), std::move(theta),
-                     {0.5, 0.5, 0.5}, 0x14424919d9367b02ULL});
+                     {0.5, 0.5, 0.5}, 0xa835b975c6eb3481ULL});
   }
   {
     Chain chain = makeOffsetMixedChain(30);
@@ -223,7 +224,7 @@ std::vector<HeadCase> headCases() {
                      : rng.uniform(chain.joint(i).min, chain.joint(i).max);
     cases.push_back({"mixed-offset+base:30", std::move(chain),
                      std::move(theta), {0.2, 0.1, -0.3},
-                     0xf7d1a5f13b988366ULL});
+                     0x6eb400ef0c440f84ULL});
   }
   {
     // Joint angles on both sides of the walk trig's +-1e5 cutoff: lanes

@@ -6,8 +6,9 @@
 // grouped sweeps, and all of it again through Eq. 9's ladder
 // (evaluateLadder) with its fix-up lanes and wave-shaped partitions —
 // the walk-slicing cache seam (both precisions), and solver-level
-// identity at K > the slice budget, and the serial head's trig
-// (SpecBackend::sinCos) against specSinCos.
+// identity at K > the slice budget, the serial head's trig
+// (SpecBackend::sinCos) against specSinCos, and the fused multiply-add
+// contract of the sin/cos and the walk on every backend.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "dadu/kinematics/backends/spec_backend.hpp"
+#include "dadu/kinematics/backends/walk_ref.hpp"
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/forward_batch.hpp"
 #include "dadu/kinematics/presets.hpp"
@@ -625,6 +627,165 @@ TEST(SpecBackendParity, SinCosMatchesSpecSinCosBitForBit) {
         for (std::size_t i = n; i < n + 8; ++i) {
           ASSERT_EQ(s[i], kCanary) << backend->name() << " wrote sin " << i;
           ASSERT_EQ(c[i], kCanary) << backend->name() << " wrote cos " << i;
+        }
+      }
+    }
+  }
+}
+
+// ---- The fused multiply-add contract -------------------------------------
+//
+// The walk's sin/cos, Eq. 9's rotation and the DH point step use V::fma
+// and V::fnma, each rounded once.  A backend that lowered them to a
+// rounded multiply and an add would stay within a few ULPs of libm and
+// agree with itself, so these tests compare every runnable backend with
+// the contract written out here, fused and unfused, and need no second
+// backend to fail.  This file compiles with -ffp-contract=off, so the
+// unfused forms below stay unfused.
+
+/// ScalarLane with the fused ops lowered to a rounded multiply and an
+/// add: what a backend that dropped the fusion would compute.
+struct UnfusedLane : kin::detail::ScalarLane {
+  static reg fma(reg a, reg b, reg c) { return a * b + c; }
+  static reg fnma(reg a, reg b, reg c) { return c - a * b; }
+};
+
+TEST(SpecBackendFusedOps, ScalarLaneRoundsOnce) {
+  // (1 + 2^-52)(1 - 2^-52) = 1 - 2^-104 rounds to 1 as a product.
+  volatile double a = 1.0 + 0x1p-52, b = 1.0 - 0x1p-52;
+  EXPECT_EQ(kin::detail::ScalarLane::fma(a, b, -1.0), -0x1p-104);
+  EXPECT_EQ(kin::detail::ScalarLane::fnma(a, b, 1.0), 0x1p-104);
+  EXPECT_EQ(UnfusedLane::fma(a, b, -1.0), 0.0);
+  EXPECT_EQ(UnfusedLane::fnma(a, b, 1.0), 0.0);
+}
+
+/// Angles like a chain's joints: a few turns, and the prepass's small
+/// block steps.
+std::vector<double> fusedSweep() {
+  std::vector<double> x;
+  for (int i = 0; i < 2000; ++i)
+    x.push_back(7.0 * std::sin(0.37 * i + 0.1) + 1e-3 * (i % 7));
+  for (int i = 1; i <= 500; ++i) x.push_back(0.4 / i);
+  return x;
+}
+
+TEST(SpecBackendFusedOps, EverySinCosIsTheFusedEvaluation) {
+  const std::vector<double> x = fusedSweep();
+  const std::size_t n = x.size();
+  std::size_t unfused_differs = 0;
+  std::vector<double> s_fused(n), c_fused(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    kin::detail::sinCosFastWide<kin::detail::ScalarLane>(x[i], s_fused[i],
+                                                        c_fused[i]);
+    double s_unfused, c_unfused;
+    kin::detail::sinCosFastWide<UnfusedLane>(x[i], s_unfused, c_unfused);
+    unfused_differs += bitsOf(s_unfused) != bitsOf(s_fused[i]) ||
+                       bitsOf(c_unfused) != bitsOf(c_fused[i]);
+  }
+  // The two evaluations differ often enough that any lowering shows.
+  EXPECT_GT(unfused_differs, n / 20) << "of " << n;
+  for (const SpecBackend* backend : runnableBackends()) {
+    std::vector<double> s(n), c(n);
+    backend->sinCos(x.data(), s.data(), c.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(bitsOf(s[i]), bitsOf(s_fused[i]))
+          << backend->name() << " sin x = " << x[i];
+      ASSERT_EQ(bitsOf(c[i]), bitsOf(c_fused[i]))
+          << backend->name() << " cos x = " << x[i];
+    }
+  }
+}
+
+/// Lane k's position and error by the walk's arithmetic contract, with
+/// Lane's fused ops: the lane's (cos, sin) per lane or by Eq. 9's
+/// rotation, the DH point step from the tip to the base, then the chain
+/// base and the error, both unfused.  Free candidates in the fast trig
+/// range only (no fix-up lanes).
+template <typename Lane>
+std::pair<linalg::Vec3, double> contractLane(
+    const kin::Chain& chain, const linalg::VecX& theta,
+    const linalg::VecX& dtheta, double alpha_base, std::size_t k_count,
+    const linalg::Vec3& target, Form form, std::size_t k) {
+  const double kc = static_cast<double>(k_count);
+  const auto alpha = [&](std::size_t l) {
+    return (static_cast<double>(l + 1) / kc) * alpha_base;
+  };
+  const std::size_t j = k / kin::kLadderBlock, m = k % kin::kLadderBlock;
+  const double* trig = chain.dhTrig();
+  double vx = 0.0, vy = 0.0, vz = 0.0;
+  for (std::size_t i = chain.dof(); i-- > 0;) {
+    const kin::Joint& joint = chain.joint(i);
+    const double q = theta[i] + alpha(k) * dtheta[i];
+    double c = trig[4 * i + 2], s = trig[4 * i + 3], d = joint.dh.d;
+    if (joint.type != kin::JointType::kRevolute) {
+      d = d + q;
+    } else if (form == Form::kArray || j == 0) {
+      kin::detail::sinCosFastWide<Lane>(joint.dh.theta + q, s, c);
+    } else {
+      double sm, cm, sj, cj;
+      kin::detail::sinCosFastWide<Lane>(
+          joint.dh.theta + (theta[i] + alpha(m) * dtheta[i]), sm, cm);
+      const double step =
+          (static_cast<double>(j * kin::kLadderBlock) / kc) * alpha_base;
+      kin::detail::sinCosFastWide<Lane>(step * dtheta[i], sj, cj);
+      c = Lane::fnma(sm, sj, cm * cj);
+      s = Lane::fma(cm, sj, sm * cj);
+    }
+    const double ca = trig[4 * i], sa = trig[4 * i + 1];
+    const double wx = vx + joint.dh.a;
+    const double wy = Lane::fnma(sa, vz, ca * vy);
+    const double wz = Lane::fma(sa, vy, Lane::fma(ca, vz, d));
+    vx = Lane::fnma(s, wy, c * wx);
+    vy = Lane::fma(c, wy, s * wx);
+    vz = wz;
+  }
+  const linalg::Mat4& b = chain.base();
+  linalg::Vec3 p;
+  for (std::size_t r = 0; r < 3; ++r)
+    p[r] = b(r, 0) * vx + b(r, 1) * vy + b(r, 2) * vz + b(r, 3);
+  const double dx = target.x - p.x, dy = target.y - p.y, dz = target.z - p.z;
+  return {p, std::sqrt(dx * dx + dy * dy + dz * dz)};
+}
+
+TEST(SpecBackendFusedOps, EveryWalkIsTheFusedEvaluation) {
+  const linalg::Vec3 target{0.3, -0.2, 0.5};
+  for (const kin::Chain& chain :
+       {kin::makeSerpentine(100), withOffsetBase(makeMixedChain(30))}) {
+    const linalg::VecX theta = patternVec(chain.dof(), 1.5, 0.3);
+    const linalg::VecX dtheta = patternVec(chain.dof(), 3.0, 1.9);
+    for (const Form form : {Form::kArray, Form::kLadder}) {
+      for (const std::size_t k_count : {9u, 64u}) {
+        std::size_t unfused_differs = 0;
+        std::vector<std::pair<linalg::Vec3, double>> fused;
+        for (std::size_t k = 0; k < k_count; ++k) {
+          fused.push_back(contractLane<kin::detail::ScalarLane>(
+              chain, theta, dtheta, 0.37, k_count, target, form, k));
+          const auto unfused = contractLane<UnfusedLane>(
+              chain, theta, dtheta, 0.37, k_count, target, form, k);
+          for (std::size_t r = 0; r < 3; ++r)
+            unfused_differs += bitsOf(unfused.first[r]) !=
+                               bitsOf(fused[k].first[r]);
+        }
+        // Most coordinates tell the two evaluations apart.
+        EXPECT_GT(2 * unfused_differs, 3 * k_count)
+            << chain.name() << " " << formName(form) << " K=" << k_count;
+        for (const SpecBackend* backend : runnableBackends()) {
+          BatchedForward batch(BatchedForward::Precision::kF64, backend);
+          batch.reset(chain, k_count);
+          sweep(batch, form, chain, theta, dtheta, 0.37, k_count, target,
+                false, 0, k_count);
+          for (std::size_t k = 0; k < k_count; ++k) {
+            const linalg::Vec3 p = batch.position(k);
+            for (std::size_t r = 0; r < 3; ++r) {
+              ASSERT_EQ(bitsOf(p[r]), bitsOf(fused[k].first[r]))
+                  << backend->name() << " " << chain.name() << " "
+                  << formName(form) << " K=" << k_count << " lane " << k
+                  << " row " << r;
+            }
+            ASSERT_EQ(bitsOf(batch.errors()[k]), bitsOf(fused[k].second))
+                << backend->name() << " " << chain.name() << " "
+                << formName(form) << " K=" << k_count << " lane " << k;
+          }
         }
       }
     }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "dadu/kinematics/forward.hpp"
+#include "dadu/kinematics/jacobian.hpp"
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/solvers/factory.hpp"
 #include "dadu/solvers/jt_common.hpp"
@@ -141,6 +142,28 @@ TEST(JtIterationHead, StallsAtExactSingularity) {
       jtIterationHead(chain, chain.zeroConfiguration(), {0.5, 0.0, 0.0}, ws);
   EXPECT_TRUE(head.stalled);
   EXPECT_GT(head.error, 0.0);
+}
+
+TEST(PinvSvd, StallsWithZeroErrorOnAnExactlyReachedTarget) {
+  // The target is the head's own end-effector position at the seed, so
+  // the first head measures error exactly 0.  accuracy = 0 cannot be met
+  // (convergence is error < accuracy), and the step J+ e is zero: no
+  // progress is possible, which ends the solve kStalled at once instead
+  // of spending its budget.
+  const auto chain = kin::makeSerpentine(8);
+  const linalg::VecX seed(8, 0.25);
+  linalg::MatX j;
+  kin::JacobianScratch scratch;
+  linalg::Vec3 reached;
+  kin::positionJacobian(chain, seed, j, scratch, reached);
+  SolveOptions options;
+  options.accuracy = 0.0;
+  options.max_iterations = 100;
+  const auto r = makeSolver("pinv-svd", chain, options)->solve(reached, seed);
+  EXPECT_EQ(r.status, Status::kStalled);
+  EXPECT_EQ(r.error, 0.0);
+  EXPECT_EQ(r.iterations, 0);
+  EXPECT_EQ(r.theta, seed);
 }
 
 TEST(Factory, AllAdvertisedNamesConstruct) {

@@ -47,18 +47,19 @@ ctest --test-dir "${build_dir}" --output-on-failure -j
 # kernels are required to be bit-identical, so the parity suite runs
 # under whatever backend runtime dispatch picked for this host, then
 # with the backend forced to scalar via the env override, and — on
-# hosts with AVX2 — forced to avx2, whose vectorized walk trig is its
-# own explicit code.  The forced legs also re-run the suites that lean
-# hardest on the speculation path (IKAcc's functional model included),
-# proving solver results do not depend on the host ISA.  The adaptive
-# solver reshapes the f64 walk's lane count every iteration, so its
+# hosts with AVX2 and FMA — forced to avx2, whose vectorized walk and
+# fused multiply-adds are its own explicit code.  The forced legs also
+# re-run the suites that lean hardest on the speculation path (IKAcc's
+# functional model included), proving solver results do not depend on
+# the host ISA.  The adaptive solver reshapes the f64 walk's lane count every iteration, so its
 # suite rides along too.  The serial head (positionJacobian) takes its
 # trig from the dispatched backend, so every Jacobian-transpose solver
 # depends on it: the head's golden bits, the compose-vs-dense checks and
 # the JT-family solver suites run in the forced legs as well.
 "${build_dir}/tests/kinematics_spec_backend_test"
 forced_backends="scalar"
-if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null &&
+    grep -qw fma /proc/cpuinfo 2>/dev/null; then
   forced_backends="scalar avx2"
 fi
 for backend in ${forced_backends}; do
