@@ -1,7 +1,6 @@
 // Reaching around obstacles: the deployment-side workflow around the
-// core solver — collision-filtered IK with restarts, and null-space
-// posture shaping that keeps a redundant arm near its rest pose while
-// hitting the same targets.
+// core solver — plain Quick-IK, which is oblivious to obstacles, against
+// collision-filtered IK with restarts.
 #include <cstdio>
 
 #include "dadu/dadu.hpp"
@@ -40,18 +39,5 @@ int main() {
       r_aware.success() ? "free solution" : "no free solution",
       r_aware.attempts, r_aware.clearance);
 
-  // --- Null-space posture shaping ----------------------------------
-  dadu::ik::DlsSolver dls(chain, {});
-  dadu::ik::NullSpaceDlsSolver shaped(
-      chain, {}, dadu::ik::restPostureObjective(chain.zeroConfiguration()),
-      /*ns_gain=*/0.5);
-  const auto r_dls = dls.solve(task.target, task.seed);
-  const auto r_shaped = shaped.solve(task.target, task.seed);
-  std::printf(
-      "Posture shaping:  plain DLS ends %.2f rad from rest, null-space "
-      "DLS %.2f rad (both at the target)\n",
-      (r_dls.theta - chain.zeroConfiguration()).norm(),
-      (r_shaped.theta - chain.zeroConfiguration()).norm());
-
-  return r_aware.success() && r_shaped.converged() ? 0 : 1;
+  return r_aware.success() ? 0 : 1;
 }

@@ -19,7 +19,6 @@
 #include "dadu/linalg/mat34_batch.hpp"
 #include "dadu/linalg/matx.hpp"
 #include "dadu/linalg/pseudoinverse.hpp"
-#include "dadu/linalg/quaternion.hpp"
 #include "dadu/linalg/rotation.hpp"
 #include "dadu/linalg/svd.hpp"
 #include "dadu/linalg/vec.hpp"
@@ -27,7 +26,6 @@
 
 // Kinematics substrate.
 #include "dadu/kinematics/chain.hpp"
-#include "dadu/kinematics/chain_utils.hpp"
 #include "dadu/kinematics/dh.hpp"
 #include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/forward_batch.hpp"
@@ -35,11 +33,9 @@
 #include "dadu/kinematics/forward_fixed.hpp"
 #include "dadu/kinematics/jacobian.hpp"
 #include "dadu/kinematics/jacobian_full.hpp"
-#include "dadu/kinematics/metrics.hpp"
 #include "dadu/kinematics/joint.hpp"
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/kinematics/robot_io.hpp"
-#include "dadu/kinematics/tree.hpp"
 #include "dadu/kinematics/analytic.hpp"
 #include "dadu/kinematics/workspace.hpp"
 
@@ -63,7 +59,6 @@
 #include "dadu/solvers/quick_ik.hpp"
 #include "dadu/solvers/quick_ik_f32.hpp"
 #include "dadu/solvers/quick_ik_adaptive.hpp"
-#include "dadu/solvers/quick_ik_tree.hpp"
 #include "dadu/solvers/sdls.hpp"
 #include "dadu/solvers/types.hpp"
 
@@ -73,8 +68,6 @@
 #include "dadu/ikacc/design_space.hpp"
 #include "dadu/ikacc/stats.hpp"
 #include "dadu/ikacc/trace.hpp"
-#include "dadu/ikacc/tree_accelerator.hpp"
-#include "dadu/ikacc/pose_accelerator.hpp"
 #include "dadu/ikacc/throughput.hpp"
 
 // Platform models, workloads, reporting.
@@ -93,7 +86,6 @@
 
 // Meta-solvers.
 #include "dadu/solvers/restart.hpp"
-#include "dadu/solvers/nullspace.hpp"
 
 // Observability: lock-free counters, latency histograms, trace sinks,
 // and the Prometheus / JSON / text exporters.

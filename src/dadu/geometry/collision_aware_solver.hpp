@@ -4,9 +4,8 @@
 // Redundant manipulators have continuum solution sets for one target;
 // restarting the inner solver from different random configurations
 // samples distinct basins and usually finds a free solution within a
-// few attempts.  (Gradient-based obstacle avoidance in the null space
-// is the complementary technique — see NullSpaceDlsSolver — this
-// wrapper is the robust, solver-agnostic fallback.)
+// few attempts.  The wrapper is solver-agnostic: it needs nothing from
+// the inner solver beyond solve().
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,8 @@
 // Partial-pivot LU factorisation for general square systems.
 //
 // The IK solvers themselves only ever need SPD (Cholesky) or SVD
-// factorisations, but LU completes the substrate: tests use it as an
-// independent reference for solve/determinant results and examples use
-// it for general linear systems arising in trajectory fitting.
+// factorisations.  LU stays as the tests' independent reference for
+// solve/determinant results (Cholesky.DeterminantMatchesLu).
 #pragma once
 
 #include <optional>

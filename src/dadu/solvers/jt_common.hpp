@@ -2,7 +2,7 @@
 // iteration starts with the serial head (J, e, dtheta_base = J^T e and
 // alpha_base, the paper's SPU) and differs only in the update that
 // follows — JT-Serial, fixed-alpha, Eq. 8 and momentum; the
-// pseudoinverse, DLS, SDLS, weighted and null-space DLS steps;
+// pseudoinverse, DLS and SDLS steps;
 // Quick-IK and its adaptive and f32 variants; and IKAcc's model.
 // JtSolver owns the iteration protocol they share; each solver
 // supplies only its step.

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dadu/linalg/cholesky.hpp"
 #include "dadu/solvers/jt_common.hpp"
 
 namespace dadu::ik {
@@ -97,59 +96,6 @@ PoseSolveResult QuickIkPoseSolver::solve(const kin::Pose& target,
   }
 
   // Final measurement for honest reporting.
-  const PoseErrors err = measure(kin::endEffectorPose(chain_, result.theta),
-                                 target, options_.rotation_weight);
-  result.position_error = err.pos;
-  result.angular_error = err.ang;
-  result.status = withinAccuracy(err, options_) ? Status::kConverged
-                                                : Status::kMaxIterations;
-  return result;
-}
-
-DlsPoseSolver::DlsPoseSolver(kin::Chain chain, PoseSolveOptions options,
-                             double lambda, double max_task_step)
-    : chain_(std::move(chain)),
-      options_(options),
-      lambda_(lambda),
-      max_task_step_(max_task_step) {}
-
-PoseSolveResult DlsPoseSolver::solve(const kin::Pose& target,
-                                     const linalg::VecX& seed) {
-  validateInputs(chain_, target.position, seed);
-
-  PoseSolveResult result;
-  result.theta = seed;
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    kin::Pose current;
-    kin::fullJacobian(chain_, result.theta, j_, frames_, current);
-    const PoseErrors err = measure(current, target, options_.rotation_weight);
-    result.position_error = err.pos;
-    result.angular_error = err.ang;
-
-    if (withinAccuracy(err, options_)) {
-      result.status = Status::kConverged;
-      return result;
-    }
-
-    // Clamp the weighted task step.
-    linalg::VecX step = err.e;
-    const double norm = step.norm();
-    if (max_task_step_ > 0.0 && norm > max_task_step_)
-      step *= max_task_step_ / norm;
-
-    // (J J^T + lambda^2 I) y = e (6x6), dtheta = J^T y.
-    linalg::MatX a = j_.gram();
-    for (std::size_t d = 0; d < 6; ++d) a(d, d) += lambda_ * lambda_;
-    const auto y = linalg::choleskySolve(a, step);
-    if (!y) {
-      result.status = Status::kStalled;
-      return result;
-    }
-    result.theta += j_.applyTransposed(*y);
-    ++result.iterations;
-  }
-
   const PoseErrors err = measure(kin::endEffectorPose(chain_, result.theta),
                                  target, options_.rotation_weight);
   result.position_error = err.pos;

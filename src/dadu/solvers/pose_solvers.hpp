@@ -1,16 +1,10 @@
-// Pose (position + orientation) IK solvers — the 6-DOF task-space
-// extension of the paper's pipeline.
+// Pose (position + orientation) IK solver — the 6-DOF task-space
+// extension of the paper's pipeline, behind `dadu pose`.
 //
-// Two members mirror the paper's central comparison in the extended
-// task space:
-//
-//   * QuickIkPoseSolver — Algorithm 1 lifted to 6-D task errors: the
-//     serial head computes J (6 x N), dtheta_base = J^T e and the Eq. 8
-//     step size with 6-vectors; the speculative search evaluates
-//     f(theta_k) poses in parallel and selects the argmin of the
-//     weighted pose error.
-//   * DlsPoseSolver — damped least squares on the 6 x 6 normal
-//     equations, the robust classical baseline for full-pose IK.
+// QuickIkPoseSolver is Algorithm 1 lifted to 6-D task errors: the
+// serial head computes J (6 x N), dtheta_base = J^T e and the Eq. 8
+// step size with 6-vectors; the speculative search evaluates f(theta_k)
+// poses in parallel and selects the argmin of the weighted pose error.
 //
 // Convergence demands BOTH position and orientation accuracy:
 // ||p_t - p|| < accuracy and geodesic angle < angular_accuracy.
@@ -61,25 +55,6 @@ class QuickIkPoseSolver {
   std::vector<linalg::Mat4> frames_;
   std::vector<linalg::VecX> theta_k_;
   std::vector<double> error_k_;
-};
-
-/// Damped least squares in the full 6-D task space.
-class DlsPoseSolver {
- public:
-  DlsPoseSolver(kin::Chain chain, PoseSolveOptions options,
-                double lambda = 0.1, double max_task_step = 0.1);
-
-  PoseSolveResult solve(const kin::Pose& target, const linalg::VecX& seed);
-
-  const kin::Chain& chain() const { return chain_; }
-
- private:
-  kin::Chain chain_;
-  PoseSolveOptions options_;
-  double lambda_;
-  double max_task_step_;
-  linalg::MatX j_;
-  std::vector<linalg::Mat4> frames_;
 };
 
 }  // namespace dadu::ik

@@ -5,7 +5,6 @@
 #include <numbers>
 
 #include "dadu/kinematics/workspace.hpp"
-#include "dadu/linalg/quaternion.hpp"
 
 namespace dadu::workload {
 
@@ -75,30 +74,6 @@ std::vector<linalg::Vec3> fitToWorkspace(const kin::Chain& chain,
 
   const double scale = allowed / worst;
   for (auto& p : path) p = ball.center + (p - ball.center) * scale;
-  return path;
-}
-
-}  // namespace dadu::workload
-
-namespace dadu::workload {
-
-std::vector<kin::Pose> poseTrajectory(const kin::Pose& start,
-                                      const kin::Pose& end, int points) {
-  std::vector<kin::Pose> path;
-  path.reserve(std::max(points, 1));
-  if (points <= 1) {
-    path.push_back(start);
-    return path;
-  }
-  const linalg::Quaternion qa = linalg::Quaternion::fromMatrix(start.orientation);
-  const linalg::Quaternion qb = linalg::Quaternion::fromMatrix(end.orientation);
-  for (int i = 0; i < points; ++i) {
-    const double t = static_cast<double>(i) / (points - 1);
-    kin::Pose p;
-    p.position = start.position + (end.position - start.position) * t;
-    p.orientation = linalg::slerp(qa, qb, t).toMatrix();
-    path.push_back(p);
-  }
   return path;
 }
 

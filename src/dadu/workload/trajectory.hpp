@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "dadu/kinematics/chain.hpp"
-#include "dadu/kinematics/jacobian_full.hpp"
 #include "dadu/linalg/vec.hpp"
 
 namespace dadu::workload {
@@ -32,11 +31,5 @@ std::vector<linalg::Vec3> lissajousTrajectory(const linalg::Vec3& center,
 std::vector<linalg::Vec3> fitToWorkspace(const kin::Chain& chain,
                                          std::vector<linalg::Vec3> path,
                                          double margin_fraction = 0.2);
-
-/// Pose trajectory: linear position interpolation + quaternion slerp
-/// between two poses, inclusive endpoints — the waypoint stream a
-/// Cartesian controller feeds the pose-IK solvers.
-std::vector<kin::Pose> poseTrajectory(const kin::Pose& start,
-                                      const kin::Pose& end, int points);
 
 }  // namespace dadu::workload

@@ -1,8 +1,7 @@
-// Pose-accelerator and batch-throughput model tests.
+// Batch-throughput model tests.
 #include <gtest/gtest.h>
 
 #include "dadu/ikacc/accelerator.hpp"
-#include "dadu/ikacc/pose_accelerator.hpp"
 #include "dadu/ikacc/throughput.hpp"
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/workload/rng.hpp"
@@ -15,56 +14,6 @@ linalg::VecX randomConfig(std::size_t n, std::uint64_t seed) {
   linalg::VecX q(n);
   for (std::size_t i = 0; i < n; ++i) q[i] = rng.angle();
   return q;
-}
-
-TEST(PoseAccelerator, FunctionallyEqualsSoftwarePoseSolver) {
-  const auto chain = kin::makeSerpentine(25);
-  ik::PoseSolveOptions options;
-  ik::QuickIkPoseSolver software(chain, options);
-  PoseIkAccelerator hardware(chain, options);
-
-  const kin::Pose target =
-      kin::endEffectorPose(chain, randomConfig(25, 31));
-  const auto seed = randomConfig(25, 32);
-  const auto sw = software.solve(target, seed);
-  const auto hw = hardware.solve(target, seed);
-  EXPECT_EQ(sw.iterations, hw.iterations);
-  EXPECT_EQ(sw.theta, hw.theta);
-  EXPECT_EQ(sw.status, hw.status);
-}
-
-TEST(PoseAccelerator, StatsConsistentAndCostlierThanPositionOnly) {
-  const std::size_t dof = 25;
-  const auto chain = kin::makeSerpentine(dof);
-  const kin::Pose target = kin::endEffectorPose(chain, randomConfig(dof, 1));
-
-  // Marginal per-iteration cost: total(2 iterations) - total(1
-  // iteration) cancels the fixed heads/epilogues each model charges.
-  const auto poseCycles = [&](int iters) {
-    ik::PoseSolveOptions o;
-    o.max_iterations = iters;
-    o.accuracy = 1e-15;
-    PoseIkAccelerator acc_(chain, o);
-    (void)acc_.solve(target, randomConfig(dof, 2));
-    const AccStats& s = acc_.lastStats();
-    EXPECT_EQ(s.total_cycles, s.spu_cycles + s.ssu_cycles +
-                                  s.scheduler_cycles + s.selector_cycles);
-    return s.total_cycles;
-  };
-  const auto posCycles = [&](int iters) {
-    ik::SolveOptions o;
-    o.max_iterations = iters;
-    o.accuracy = 1e-15;
-    IkAccelerator acc_(chain, o);
-    (void)acc_.solve(target.position, randomConfig(dof, 2));
-    return acc_.lastStats().total_cycles;
-  };
-
-  const long long pose_marginal = poseCycles(2) - poseCycles(1);
-  const long long pos_marginal = posCycles(2) - posCycles(1);
-  EXPECT_GT(pose_marginal, pos_marginal);
-  EXPECT_LT(static_cast<double>(pose_marginal),
-            1.3 * static_cast<double>(pos_marginal));
 }
 
 TEST(Throughput, DegenerateInputsGiveZero) {

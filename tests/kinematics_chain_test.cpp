@@ -1,5 +1,4 @@
-// Chain construction, validation, limits, DH transform and chain
-// utility (append, sub-chain, uniform limits) tests.
+// Chain construction, validation, limits and DH transform tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,9 +6,7 @@
 #include <stdexcept>
 
 #include "dadu/kinematics/chain.hpp"
-#include "dadu/kinematics/chain_utils.hpp"
 #include "dadu/kinematics/dh.hpp"
-#include "dadu/kinematics/forward.hpp"
 #include "dadu/kinematics/presets.hpp"
 #include "dadu/linalg/rotation.hpp"
 
@@ -124,36 +121,6 @@ TEST(Chain, PrismaticReachIncludesExtension) {
   std::vector<Joint> joints = {prismatic({0.0, 0, 0.1, 0}, -0.2, 0.4)};
   const Chain chain(std::move(joints));
   EXPECT_DOUBLE_EQ(chain.maxReach(), 0.1 + 0.4);
-}
-
-TEST(ChainUtils, AppendComposesKinematics) {
-  const auto torso = makePlanar(2, 0.3);
-  const auto arm = makePlanar(3, 0.2);
-  const auto full = appendChains(torso, arm);
-  EXPECT_EQ(full.dof(), 5u);
-  EXPECT_NEAR(full.maxReach(), 0.6 + 0.6, 1e-12);
-  // FK of the composition at zero matches the sum of stretches.
-  const auto p = endEffectorPosition(full, full.zeroConfiguration());
-  EXPECT_NEAR(p.x, 1.2, 1e-12);
-  EXPECT_EQ(full.name(), "planar-2dof+planar-3dof");
-}
-
-TEST(ChainUtils, SubChainExtractsSpan) {
-  const auto chain = makeSerpentine(10);
-  const auto mid = subChain(chain, 3, 7);
-  EXPECT_EQ(mid.dof(), 4u);
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_DOUBLE_EQ(mid.joint(i).dh.alpha, chain.joint(3 + i).dh.alpha);
-  EXPECT_THROW(subChain(chain, 5, 5), std::out_of_range);
-  EXPECT_THROW(subChain(chain, 8, 12), std::out_of_range);
-}
-
-TEST(ChainUtils, UniformLimits) {
-  const auto limited = withUniformLimits(makeSerpentine(5), -1, 1);
-  for (const auto& j : limited.joints()) {
-    EXPECT_DOUBLE_EQ(j.min, -1.0);
-    EXPECT_DOUBLE_EQ(j.max, 1.0);
-  }
 }
 
 }  // namespace

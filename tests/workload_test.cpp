@@ -10,7 +10,6 @@
 #include "dadu/kinematics/workspace.hpp"
 #include "dadu/workload/rng.hpp"
 #include "dadu/workload/targets.hpp"
-#include "dadu/linalg/rotation.hpp"
 #include "dadu/workload/trajectory.hpp"
 
 namespace dadu::workload {
@@ -212,43 +211,6 @@ TEST(Trajectory, FitToWorkspaceKeepsAlreadyFittingPath) {
   const auto orig = lineTrajectory({0.1, 0, 0}, {0.2, 0, 0}, 4);
   const auto fitted = fitToWorkspace(chain, orig, 0.2);
   for (std::size_t i = 0; i < orig.size(); ++i) EXPECT_EQ(orig[i], fitted[i]);
-}
-
-
-TEST(Trajectory, PoseTrajectoryEndpointsAndInterpolation) {
-  kin::Pose a;
-  a.position = {0, 0, 0};
-  a.orientation = linalg::axisAngle(linalg::Vec3::unitZ(), 0.0);
-  kin::Pose b;
-  b.position = {1, 0, 0};
-  b.orientation = linalg::axisAngle(linalg::Vec3::unitZ(), 1.0);
-
-  const auto path = poseTrajectory(a, b, 5);
-  ASSERT_EQ(path.size(), 5u);
-  EXPECT_LT((path.front().position - a.position).norm(), 1e-12);
-  EXPECT_LT((path.back().position - b.position).norm(), 1e-12);
-  EXPECT_LT(linalg::rotationAngleBetween(path.back().orientation,
-                                         b.orientation),
-            1e-9);
-  // Midpoint: half the translation, half the rotation.
-  EXPECT_NEAR(path[2].position.x, 0.5, 1e-12);
-  EXPECT_NEAR(linalg::rotationAngleBetween(a.orientation,
-                                           path[2].orientation),
-              0.5, 1e-9);
-  // Orientation steps are uniform (slerp, not lerp).
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    EXPECT_NEAR(linalg::rotationAngleBetween(path[i - 1].orientation,
-                                             path[i].orientation),
-                0.25, 1e-9);
-  }
-}
-
-TEST(Trajectory, PoseTrajectorySinglePoint) {
-  kin::Pose a;
-  a.position = {1, 2, 3};
-  const auto path = poseTrajectory(a, a, 1);
-  ASSERT_EQ(path.size(), 1u);
-  EXPECT_EQ(path[0].position, a.position);
 }
 
 TEST(SpecMix, PerSpecSubsequenceMatchesSingleRobotWorkload) {

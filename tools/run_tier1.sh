@@ -13,13 +13,13 @@
 # under UBSan with:
 #
 #   cmake -B build-ubsan -S . -DDADU_SANITIZE=undefined -DDADU_BUILD_BENCH=OFF
-#   cmake --build build-ubsan -j --target kinematics_batch_fk_test
+#   cmake --build build-ubsan -j "$(nproc)" --target kinematics_batch_fk_test
 #   ./build-ubsan/tests/kinematics_batch_fk_test
 #
 # (ASan is the same with -DDADU_SANITIZE=address.)  The wide
 # speculation backends are covered the same way:
 #
-#   cmake --build build-ubsan -j --target kinematics_spec_backend_test
+#   cmake --build build-ubsan -j "$(nproc)" --target kinematics_spec_backend_test
 #   ./build-ubsan/tests/kinematics_spec_backend_test
 #   DADU_SPEC_BACKEND=scalar ./build-ubsan/tests/kinematics_spec_backend_test
 #
@@ -28,7 +28,7 @@
 # are all concurrent — with:
 #
 #   cmake -B build-tsan -S . -DDADU_SANITIZE=thread -DDADU_BUILD_BENCH=OFF
-#   cmake --build build-tsan -j --target service_test service_batch_test \
+#   cmake --build build-tsan -j "$(nproc)" --target service_test service_batch_test \
 #       service_stress_test
 #   ./build-tsan/tests/service_test
 #   ./build-tsan/tests/service_batch_test
@@ -40,7 +40,7 @@ build_dir="${1:-${repo_root}/build}"
 
 # shellcheck disable=SC2086  # DADU_CMAKE_ARGS is intentionally word-split
 cmake -B "${build_dir}" -S "${repo_root}" ${DADU_CMAKE_ARGS:-}
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j "$(nproc)"
 ctest --test-dir "${build_dir}" --output-on-failure -j
 
 # Wide-speculation parity gate: the scalar/AVX2/AVX-512 speculation
